@@ -124,13 +124,13 @@ inline std::vector<WorkloadQuery> MakeCellWorkload(
   return *std::move(workload);
 }
 
-// ---- Threshold-pruning + shared-aggregation ablation --------------------
+// ---- Threshold-pruning ablation ------------------------------------------
 
 /// \brief One (family, |P|) cell of the ablation: validation wall-clock
-/// with threshold pruning + aggregate sharing off vs on, plus the
-/// pruner's side counters. Both configurations validate the identical
-/// candidate schedule (refuted executions count as executions), so the
-/// wall-clock ratio isolates the optimization.
+/// with threshold pruning off vs on, plus the pruner's side counters.
+/// Both configurations validate the identical candidate schedule
+/// (refuted executions count as executions), so the wall-clock ratio
+/// isolates the optimization.
 struct AblationCell {
   std::string dataset;
   std::string family;
@@ -139,24 +139,23 @@ struct AblationCell {
   int64_t valid = 0;
   double validation_ms_off = 0.0;
   double validation_ms_prune = 0.0;
-  double validation_ms_share = 0.0;
-  double validation_ms_on = 0.0;
   int64_t executions = 0;
   int64_t refuted_early = 0;
   int64_t rows_saved = 0;
   double speedup() const {
-    return validation_ms_on > 0.0 ? validation_ms_off / validation_ms_on
-                                  : 0.0;
+    return validation_ms_prune > 0.0
+               ? validation_ms_off / validation_ms_prune
+               : 0.0;
   }
 };
 
 /// Runs one executions-dominated validation: ranked strategy, every
 /// candidate enumerated (stop_at_first_valid off), scan-based (the
 /// ablation Paleo instance is built without the dimension index), with
-/// the pruning and sharing knobs set independently.
+/// threshold pruning on or off.
 inline ReverseEngineerReport RunScanValidation(const Paleo& paleo,
                                                const TopKList& input,
-                                               bool pruning, bool sharing,
+                                               bool pruning,
                                                int max_predicate_size) {
   PaleoOptions options = paleo.options();
   options.max_predicate_size = max_predicate_size;
@@ -164,7 +163,6 @@ inline ReverseEngineerReport RunScanValidation(const Paleo& paleo,
   options.validation_strategy = ValidationStrategy::kRanked;
   options.stop_at_first_valid = false;
   options.threshold_pruning = pruning;
-  options.share_aggregates = sharing;
   RunRequest request;
   request.input = &input;
   request.options_override = &options;
@@ -176,10 +174,10 @@ inline ReverseEngineerReport RunScanValidation(const Paleo& paleo,
 }
 
 /// The executions-dominated ablation over one relation: scan-based
-/// validation on a finely chunked copy (2048-row chunks, so both the
-/// chunk-granular abort and the per-chunk partials cache engage), full
-/// candidate enumeration, knobs off vs on. Asserts the two
-/// configurations validate the identical candidate set.
+/// validation on a finely chunked copy (2048-row chunks, so the
+/// chunk-granular abort engages), full candidate enumeration, pruning
+/// off vs on. Asserts the two configurations validate the identical
+/// candidate set.
 inline void RunThresholdAblation(const Table& base, const char* dataset,
                                  const Env& env,
                                  std::vector<AblationCell>* cells) {
@@ -189,17 +187,15 @@ inline void RunThresholdAblation(const Table& base, const char* dataset,
   options.use_dimension_index = false;
   // The extended criteria search (min/count) widens each group's
   // candidate set — the population where pruning refutes the wrong
-  // criteria cheaply and the partials tier serves every aggregate over
-  // one (conjunction, expression) pair from a single cached scan.
+  // criteria cheaply.
   options.enable_min_count = true;
   Paleo paleo(&chunked, options);
 
-  std::printf("\n[%s] threshold pruning + shared aggregation ablation "
+  std::printf("\n[%s] threshold pruning ablation "
               "(scan-based, all candidates)\n", dataset);
-  std::printf("%8s %4s %4s %10s %10s %10s %10s %8s %6s %6s %8s %12s\n",
-              "family", "|P|", "k", "off-ms", "prune-ms", "share-ms",
-              "both-ms", "speedup", "execs", "valid", "refuted",
-              "rows-saved");
+  std::printf("%8s %4s %4s %10s %10s %8s %6s %6s %8s %12s\n", "family",
+              "|P|", "k", "off-ms", "prune-ms", "speedup", "execs",
+              "valid", "refuted", "rows-saved");
   for (QueryFamily family : {QueryFamily::kMaxA, QueryFamily::kSumAB}) {
     for (int p = 1; p <= 2; ++p) {
       for (int k : {10, 50}) {
@@ -214,34 +210,25 @@ inline void RunThresholdAblation(const Table& base, const char* dataset,
         cell.k = k;
         for (const WorkloadQuery& wq : workload) {
           ReverseEngineerReport off =
-              RunScanValidation(paleo, wq.list, false, false, p);
+              RunScanValidation(paleo, wq.list, false, p);
           ReverseEngineerReport prune =
-              RunScanValidation(paleo, wq.list, true, false, p);
-          ReverseEngineerReport share =
-              RunScanValidation(paleo, wq.list, false, true, p);
-          ReverseEngineerReport on =
-              RunScanValidation(paleo, wq.list, true, true, p);
+              RunScanValidation(paleo, wq.list, true, p);
           // The soundness contract, asserted where the numbers are
           // made: identical valid sets and identical execution
           // schedules.
-          PALEO_CHECK(off.valid.size() == on.valid.size());
-          PALEO_CHECK(off.executed_queries == on.executed_queries);
           PALEO_CHECK(off.valid.size() == prune.valid.size());
-          PALEO_CHECK(off.valid.size() == share.valid.size());
+          PALEO_CHECK(off.executed_queries == prune.executed_queries);
           cell.validation_ms_off += off.timings.validation_ms;
           cell.validation_ms_prune += prune.timings.validation_ms;
-          cell.validation_ms_share += share.timings.validation_ms;
-          cell.validation_ms_on += on.timings.validation_ms;
-          cell.executions += on.executed_queries;
-          cell.valid += static_cast<int64_t>(on.valid.size());
-          cell.refuted_early += on.executions_aborted_early;
-          cell.rows_saved += on.rows_saved;
+          cell.executions += prune.executed_queries;
+          cell.valid += static_cast<int64_t>(prune.valid.size());
+          cell.refuted_early += prune.executions_aborted_early;
+          cell.rows_saved += prune.rows_saved;
         }
-        std::printf("%8s %4d %4d %10.1f %10.1f %10.1f %10.1f %7.1fx "
+        std::printf("%8s %4d %4d %10.1f %10.1f %7.1fx "
                     "%6lld %6lld %8lld %12lld\n",
                     cell.family.c_str(), p, k, cell.validation_ms_off,
-                    cell.validation_ms_prune, cell.validation_ms_share,
-                    cell.validation_ms_on, cell.speedup(),
+                    cell.validation_ms_prune, cell.speedup(),
                     static_cast<long long>(cell.executions),
                     static_cast<long long>(cell.valid),
                     static_cast<long long>(cell.refuted_early),
@@ -270,13 +257,11 @@ inline void WriteAblationJson(const char* experiment,
         "    {\"dataset\": \"%s\", \"family\": \"%s\", "
         "\"predicate_size\": %d, \"k\": %d, "
         "\"validation_ms_off\": %.3f, "
-        "\"validation_ms_prune\": %.3f, \"validation_ms_share\": %.3f, "
-        "\"validation_ms_on\": %.3f, \"speedup\": %.3f, "
+        "\"validation_ms_prune\": %.3f, \"speedup\": %.3f, "
         "\"executions\": %lld, \"valid\": %lld, "
         "\"refuted_early\": %lld, \"rows_saved\": %lld}%s\n",
         c.dataset.c_str(), c.family.c_str(), c.predicate_size, c.k,
-        c.validation_ms_off, c.validation_ms_prune, c.validation_ms_share,
-        c.validation_ms_on, c.speedup(),
+        c.validation_ms_off, c.validation_ms_prune, c.speedup(),
         static_cast<long long>(c.executions),
         static_cast<long long>(c.valid),
         static_cast<long long>(c.refuted_early),

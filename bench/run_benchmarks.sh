@@ -8,8 +8,8 @@
 #   bench_ingest          -> serving-while-ingesting vs static serving
 #                            (<= 20% acceptance) + publish latencies
 #   bench_fig5_* / bench_fig6_*
-#                         -> threshold-pruning + shared-aggregation
-#                            ablation (off vs on validation wall-clock;
+#                         -> threshold-pruning ablation (off vs
+#                            prune validation wall-clock;
 #                            these are figure binaries, not
 #                            google-benchmark — JSON comes from the
 #                            binary's own PALEO_JSON_OUT writer)
@@ -50,7 +50,7 @@ for c in cells:
     print(f"{c['dataset']} {c['family']} |P|={c['predicate_size']}: "
           f"{c['speedup']:.2f}x validation speedup "
           f"({c['validation_ms_off']:.1f} ms -> "
-          f"{c['validation_ms_on']:.1f} ms, "
+          f"{c['validation_ms_prune']:.1f} ms, "
           f"refuted {c['refuted_early']}, "
           f"rows saved {c['rows_saved']})")
 if cells:

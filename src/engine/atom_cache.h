@@ -3,43 +3,29 @@
 // Apriori-mined candidate queries share almost all of their predicate
 // atoms by construction (a level-3 conjunction reuses the exact atoms
 // of its level-1/2 ancestors), yet the executor used to rescan R for
-// every candidate. The cache is TWO-TIER:
+// every candidate. The AtomSelectionCache memoizes the per-atom
+// selection bitmaps produced by the kernels in
+// engine/selection_kernels.h, keyed by (table epoch, chunk index,
+// atom), so a conjunction that has been seen atom-wise before resolves
+// to a word-wise AND of cached bitmaps instead of a rescan. Keys
+// compare by FULL equality — hash-only keying would make a collision
+// silently serve the wrong selection. Chunked scans store one bitmap
+// per chunk — morsel workers on different chunks never contend for the
+// same key, and a zone-map-skipped chunk caches nothing.
 //
-//  * Atom tier — memoizes the per-atom selection bitmaps produced by
-//    the kernels in engine/selection_kernels.h, keyed by (table epoch,
-//    chunk index, atom), so a conjunction that has been seen atom-wise
-//    before resolves to a word-wise AND of cached bitmaps instead of a
-//    rescan.
-//  * Conjunction tier — memoizes whole-conjunction results: the ANDed
-//    selection bitmap keyed by (epoch, chunk, conjunction), and — the
-//    apriori-lattice payoff — the chunk's compact per-group partial
-//    aggregates keyed by (epoch, chunk, conjunction, ranking
-//    expression). A parent conjunction's grouped partials computed once
-//    are served to every child candidate that reuses the same
-//    (conjunction, expression) pair, letting the executor skip the
-//    chunk's scan entirely. Cached partials ARE the canonical per-chunk
-//    partials (see the chunk-canonical merge in engine/executor.h), so
-//    a served execution stays byte-identical with a scanned one.
-//
-// Keys compare by FULL equality (epoch, chunk, tier, every atom, the
-// expression) — hash-only keying would make a collision silently serve
-// the wrong selection. Chunked scans store one entry per chunk —
-// morsel workers on different chunks never contend for the same key,
-// and a zone-map-skipped chunk caches nothing.
-//
-// Retention is one byte budget with LRU eviction across both tiers:
-// entries are charged their payload's size, the least-recently-used
-// entries are dropped once the budget is exceeded, and payloads are
-// handed out as shared_ptr<const T> so an evicted payload stays alive
+// Retention is a byte budget with LRU eviction: entries are charged
+// their bitmap's word-array size, the least-recently-used entries are
+// dropped once the budget is exceeded, and bitmaps are handed out as
+// shared_ptr<const SelectionBitmap> so an evicted bitmap stays alive
 // for readers still holding it.
 //
 // Thread-safety: fully thread-safe. One cache is shared by all workers
 // of the validator's parallel path within a run; every public method
-// takes the internal paleo::Mutex. Payload *computation* happens
-// outside the lock (callers compute on miss, then Insert) — two
-// threads may race to compute the same key, in which case the first
-// Insert wins and the loser adopts the winner's payload, keeping every
-// consumer on one shared copy.
+// takes the internal paleo::Mutex. Bitmap *computation* happens outside
+// the lock (callers compute on miss, then Insert) — two threads may
+// race to compute the same atom, in which case the first Insert wins
+// and the loser adopts the winner's bitmap, keeping every consumer on
+// one shared copy.
 
 #ifndef PALEO_ENGINE_ATOM_CACHE_H_
 #define PALEO_ENGINE_ATOM_CACHE_H_
@@ -50,51 +36,28 @@
 #include <memory>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "engine/aggregate.h"
 #include "engine/predicate.h"
-#include "engine/rank_expr.h"
 #include "engine/selection_bitmap.h"
 #include "obs/metrics.h"
 
 namespace paleo {
 
-/// \brief One chunk's canonical compact grouped partials: entity codes
-/// in first-touch scan order plus the parallel per-group AggStates —
-/// exactly what the executor's chunk merge consumes, and
-/// agg-kind-independent (AggState carries sum/min/max/count at once),
-/// so one cached entry serves MIN, MAX, SUM, COUNT, and AVG candidates
-/// over the same (conjunction, expression) pair.
-struct CachedChunkPartials {
-  std::vector<uint32_t> touched;
-  std::vector<AggState> partials;
-
-  size_t MemoryUsage() const {
-    return sizeof(CachedChunkPartials) +
-           touched.capacity() * sizeof(uint32_t) +
-           partials.capacity() * sizeof(AggState);
-  }
-};
-
-/// \brief Thread-safe two-tier LRU cache of per-atom selection
-/// bitmaps, whole-conjunction bitmaps, and per-chunk grouped partials.
+/// \brief Thread-safe LRU cache of per-atom selection bitmaps.
 class AtomSelectionCache {
  public:
   /// Registry-backed counters mirrored alongside the internal stats,
   /// all-null (one branch per event) by default. See
-  /// paleo/pipeline_metrics.h for the paleo_cache_* /
-  /// paleo_conjunction_cache_* series they back.
+  /// paleo/pipeline_metrics.h for the paleo_cache_* series they back.
   struct MetricHandles {
     obs::Counter* hits = nullptr;
     obs::Counter* misses = nullptr;
     obs::Counter* evictions = nullptr;
     obs::Gauge* resident_bytes = nullptr;
-    /// Conjunction-tier traffic (bitmaps and partials), kept separate
-    /// from the atom tier: a conjunction hit saves a whole chunk's AND
-    /// or scan, not one kernel pass.
+    // Never incremented. perfbench is the only reader (it aggregate-
+    // initialises all six fields); the next benchmark PR drops them.
     obs::Counter* conjunction_hits = nullptr;
     obs::Counter* conjunction_misses = nullptr;
   };
@@ -103,9 +66,6 @@ class AtomSelectionCache {
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
-    /// Conjunction-tier hits/misses (bitmap and partials lookups).
-    int64_t conjunction_hits = 0;
-    int64_t conjunction_misses = 0;
     int64_t evictions = 0;
     /// Allocation failures (real or injected) absorbed by shrinking
     /// the effective budget; see Insert().
@@ -117,7 +77,7 @@ class AtomSelectionCache {
     size_t effective_budget_bytes = 0;
   };
 
-  /// `byte_budget` bounds the resident payload bytes; 0 disables
+  /// `byte_budget` bounds the resident bitmap bytes; 0 disables
   /// retention entirely (every Lookup misses, Insert stores nothing),
   /// which keeps the call sites branch-free.
   explicit AtomSelectionCache(size_t byte_budget)
@@ -142,10 +102,10 @@ class AtomSelectionCache {
   /// the existing bitmap is returned and `bitmap` is discarded, so all
   /// consumers share one copy. Evicts LRU entries past the byte budget.
   ///
-  /// Memory-pressure degradation: when retaining the payload fails to
+  /// Memory-pressure degradation: when retaining the bitmap fails to
   /// allocate (a real bad_alloc or an injected fault), the cache
   /// halves its effective budget, evicts down to it, and hands the
-  /// caller an UNRETAINED copy — the run keeps its correct result and
+  /// caller an UNRETAINED copy — the run keeps its correct bitmap and
   /// only loses reuse. Once the effective budget shrinks below a small
   /// floor, retention shuts down and under_pressure() turns true, at
   /// which point the executor degrades to its scalar path.
@@ -153,34 +113,6 @@ class AtomSelectionCache {
                                                 uint32_t chunk,
                                                 const AtomicPredicate& atom,
                                                 SelectionBitmap bitmap);
-
-  /// The cached whole-conjunction selection (every atom ANDed) over one
-  /// chunk, or nullptr on miss. Worth a separate tier only for real
-  /// conjunctions: callers consult it for 2+ atoms (a 1-atom
-  /// "conjunction" is exactly the atom tier).
-  std::shared_ptr<const SelectionBitmap> LookupConjunction(
-      uint64_t epoch, uint32_t chunk,
-      const std::vector<AtomicPredicate>& atoms);
-
-  /// Inserts a whole-conjunction bitmap; same first-insert-wins and
-  /// pressure contracts as Insert().
-  std::shared_ptr<const SelectionBitmap> InsertConjunction(
-      uint64_t epoch, uint32_t chunk,
-      const std::vector<AtomicPredicate>& atoms, SelectionBitmap bitmap);
-
-  /// The cached grouped partials of (conjunction, expression) over one
-  /// chunk, or nullptr on miss. A hit lets the executor adopt the
-  /// chunk's canonical partials without scanning it.
-  std::shared_ptr<const CachedChunkPartials> LookupPartials(
-      uint64_t epoch, uint32_t chunk,
-      const std::vector<AtomicPredicate>& atoms, const RankExpr& expr);
-
-  /// Inserts one chunk's grouped partials; same first-insert-wins and
-  /// pressure contracts as Insert().
-  std::shared_ptr<const CachedChunkPartials> InsertPartials(
-      uint64_t epoch, uint32_t chunk,
-      const std::vector<AtomicPredicate>& atoms, const RankExpr& expr,
-      CachedChunkPartials partials);
 
   /// True once repeated allocation failures shut retention down; the
   /// executor then takes the scalar path. Lock-free, cheap enough for
@@ -194,50 +126,36 @@ class AtomSelectionCache {
   size_t byte_budget() const { return byte_budget_; }
 
  private:
-  /// Atom-tier key: fixed-size, allocation-free (this tier is probed
-  /// once per atom per chunk per execution — the hot path).
-  struct AtomKey {
+  /// Fixed-size, allocation-free key (probed once per atom per chunk
+  /// per execution — the hot path).
+  struct Key {
     uint64_t epoch;
     uint32_t chunk;
     AtomicPredicate atom;
-    bool operator==(const AtomKey& other) const {
+    bool operator==(const Key& other) const {
       return epoch == other.epoch && chunk == other.chunk &&
              atom == other.atom;
     }
   };
-  struct AtomKeyHash {
-    size_t operator()(const AtomKey& k) const;
-  };
-
-  /// Conjunction-tier key: the full atom list (miner order — candidates
-  /// derived from one parent share it verbatim) plus, for the partials
-  /// tier, the ranking expression. `partials_tier` separates the two
-  /// payload kinds so a bitmap entry can never answer a partials probe.
-  struct ConjKey {
-    uint64_t epoch;
-    uint32_t chunk;
-    bool partials_tier;
-    std::vector<AtomicPredicate> atoms;
-    RankExpr expr;  // default-constructed for bitmap entries
-    bool operator==(const ConjKey& other) const {
-      return epoch == other.epoch && chunk == other.chunk &&
-             partials_tier == other.partials_tier && expr == other.expr &&
-             atoms == other.atoms;
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      uint64_t h = k.epoch * 0x9E3779B97F4A7C15ULL;
+      h ^= (static_cast<uint64_t>(k.chunk) + 0x165667B19E3779F9ULL) *
+           0x27D4EB2F165667C5ULL;
+      h ^= static_cast<uint64_t>(k.atom.column) * 0xC2B2AE3D27D4EB4FULL;
+      h = (h << 17) | (h >> 47);
+      h ^= static_cast<uint64_t>(k.atom.kind);
+      h ^= k.atom.value.Hash();
+      if (k.atom.is_range()) {
+        h = (h << 9) | (h >> 55);
+        h ^= k.atom.high.Hash();
+      }
+      return static_cast<size_t>(h * 0xFF51AFD7ED558CCDULL);
     }
   };
-  struct ConjKeyHash {
-    size_t operator()(const ConjKey& k) const;
-  };
-
-  /// One LRU node; exactly one payload pointer is set, and exactly one
-  /// of the two index maps holds an iterator to it (conjunction_tier
-  /// picks which, so eviction can unindex it).
   struct Entry {
-    bool conjunction_tier = false;
-    AtomKey akey;
-    ConjKey ckey;
+    Key key;
     std::shared_ptr<const SelectionBitmap> bitmap;
-    std::shared_ptr<const CachedChunkPartials> partials;
     size_t bytes = 0;
   };
   using LruList = std::list<Entry>;
@@ -251,15 +169,6 @@ class AtomSelectionCache {
   /// One pressure event: halve the effective budget and evict down to
   /// it; below the floor, shut retention down.
   void ShrinkOnPressureLocked() REQUIRES(mutex_);
-  /// The shared alloc-failure ladder of every Insert flavor: shrink,
-  /// report, update the gauge. Returns after releasing the mutex.
-  void NotePressure();
-  /// The single "atom-cache.insert.alloc" chaos hook, shared by all
-  /// three Insert flavors (one ladder for every payload kind).
-  static bool InsertAllocFault();
-  /// Links a freshly built entry at the LRU front, charges its bytes,
-  /// evicts past the budget, and refreshes the gauge.
-  void CommitEntryLocked(Entry entry) REQUIRES(mutex_);
 
   const size_t byte_budget_;
   const MetricHandles metrics_;
@@ -268,19 +177,14 @@ class AtomSelectionCache {
   std::atomic<bool> retention_disabled_{false};
 
   mutable Mutex mutex_;
-  /// Front = most recently used; atom and conjunction entries share the
-  /// one list (and thus one eviction order and one byte budget).
+  /// Front = most recently used.
   LruList lru_ GUARDED_BY(mutex_);
-  std::unordered_map<AtomKey, LruList::iterator, AtomKeyHash> atom_index_
-      GUARDED_BY(mutex_);
-  std::unordered_map<ConjKey, LruList::iterator, ConjKeyHash> conj_index_
+  std::unordered_map<Key, LruList::iterator, KeyHash> index_
       GUARDED_BY(mutex_);
   size_t effective_budget_ GUARDED_BY(mutex_) = 0;
   size_t resident_bytes_ GUARDED_BY(mutex_) = 0;
   int64_t hits_ GUARDED_BY(mutex_) = 0;
   int64_t misses_ GUARDED_BY(mutex_) = 0;
-  int64_t conjunction_hits_ GUARDED_BY(mutex_) = 0;
-  int64_t conjunction_misses_ GUARDED_BY(mutex_) = 0;
   int64_t evictions_ GUARDED_BY(mutex_) = 0;
   int64_t pressure_events_ GUARDED_BY(mutex_) = 0;
 };

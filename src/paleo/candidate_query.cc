@@ -40,8 +40,7 @@ std::vector<CandidateQuery> BuildCandidateQueries(
               if (a.suitability != b.suitability)
                 return a.suitability > b.suitability;
               // Lattice-aware ties: apriori parents (smaller
-              // conjunctions) first, so their shared partials are
-              // cached before the children probe them.
+              // conjunctions) before their children.
               if (lattice_order &&
                   a.query.predicate.size() != b.query.predicate.size())
                 return a.query.predicate.size() < b.query.predicate.size();

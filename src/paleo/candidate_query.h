@@ -44,9 +44,8 @@ struct CandidateQuery {
 ///
 /// `lattice_order` (PaleoOptions::lattice_aware_order) flips the
 /// within-tie size preference to SMALLEST conjunction first: apriori
-/// parents validate before the children derived from them, so the
-/// shared conjunction cache is populated top-down. Suitability order
-/// itself is untouched.
+/// parents validate before the children derived from them. It only
+/// reorders suitability ties; suitability order itself is untouched.
 std::vector<CandidateQuery> BuildCandidateQueries(
     const MiningResult& mining, const std::vector<GroupRanking>& rankings,
     const ProbModel& model, int k, SortOrder order = SortOrder::kDesc,

@@ -100,7 +100,7 @@ struct PaleoOptions {
   bool use_observed_match_rate = true;
 
   // ---- Resource governance (beyond the paper) ----
-  /// Wall-clock deadline for one Run()/RunOnSample() call, in
+  /// Wall-clock deadline for one Paleo::Run() call, in
   /// milliseconds; 0 = unlimited, the paper's behaviour (results are
   /// then bit-for-bit identical to an ungoverned run). On expiry the
   /// run winds down gracefully instead of erroring: the report keeps
@@ -116,7 +116,7 @@ struct PaleoOptions {
   int64_t max_validation_executions = 0;
 
   /// Fan candidate-query executions of the validation step out across
-  /// a ThreadPool (passed to Paleo::RunConcurrent or the Validator):
+  /// a ThreadPool (RunRequest::pool, or the Validator's pool):
   /// up to this many executions run concurrently, results commit in
   /// suitability-rank order, and the first validated query cancels
   /// outstanding lower-rank siblings. <= 1, or a missing pool, keeps
@@ -167,23 +167,11 @@ struct PaleoOptions {
   /// (a pruned scan has no result list to score). Disable for ablation
   /// or to reproduce the paper's full-execution cost profile.
   bool threshold_pruning = true;
-  /// Share whole-conjunction selection bitmaps and per-chunk grouped
-  /// partial aggregates across the candidate lattice through the
-  /// run's AtomSelectionCache conjunction tiers: a parent
-  /// conjunction's partials computed once are served to every
-  /// candidate reusing the same (conjunction, ranking expression)
-  /// pair, skipping those chunks' scans outright. Byte-identical
-  /// results (cached partials ARE the canonical per-chunk partials);
-  /// executor rows_scanned drops accordingly. Requires the atom cache
-  /// (atom_cache_bytes > 0 and vectorized_execution on).
-  bool share_aggregates = true;
   /// Order suitability-tied candidates lattice-aware — parents (small
-  /// conjunctions) before children — so shared partials are populated
-  /// top-down and children hit the cache on their first chunk. Off by
-  /// default: the paper's tie-break prefers the most selective
-  /// (largest) predicate first, and the bench harness measures that
-  /// profile; sharing still works either direction (children populate,
-  /// parents reuse), just with a colder start.
+  /// conjunctions) before children — instead of the paper's tie-break,
+  /// which prefers the most selective (largest) predicate first. It
+  /// only reorders suitability ties; the set of candidates is
+  /// unchanged. Off by default, the profile the bench harness measures.
   bool lattice_aware_order = false;
 
   /// Build secondary indexes on R's dimension columns and answer

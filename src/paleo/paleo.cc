@@ -67,8 +67,8 @@ StatusOr<ReverseEngineerReport> Paleo::Run(const RunRequest& request) const {
                                     : options_;
 
   // A request-private executor is what makes this call thread-safe;
-  // callers that pass their own (the legacy wrappers, tooling that
-  // wants cumulative Stats) opt out of that.
+  // callers that pass their own (tooling that wants cumulative Stats)
+  // opt out of that.
   Executor local_executor;
   Executor* executor = request.executor;
   if (executor == nullptr) {
@@ -104,43 +104,6 @@ StatusOr<ReverseEngineerReport> Paleo::Run(const RunRequest& request) const {
     result->trace = std::move(trace);
   }
   return result;
-}
-
-StatusOr<ReverseEngineerReport> Paleo::Run(const TopKList& input,
-                                           bool keep_candidates,
-                                           const RunBudget* budget) {
-  RunRequest request;
-  request.input = &input;
-  request.keep_candidates = keep_candidates;
-  request.budget = budget;
-  request.executor = &executor_;
-  return Run(request);
-}
-
-StatusOr<ReverseEngineerReport> Paleo::RunOnSample(
-    const TopKList& input, const std::vector<RowId>& sample_rows,
-    double sample_fraction, bool keep_candidates,
-    double coverage_ratio_override, const RunBudget* budget) {
-  RunRequest request;
-  request.input = &input;
-  request.sample_rows = &sample_rows;
-  request.sample_fraction = sample_fraction;
-  request.coverage_ratio_override = coverage_ratio_override;
-  request.keep_candidates = keep_candidates;
-  request.budget = budget;
-  request.executor = &executor_;
-  return Run(request);
-}
-
-StatusOr<ReverseEngineerReport> Paleo::RunConcurrent(
-    const TopKList& input, const RunBudget* budget, ThreadPool* pool,
-    const PaleoOptions* options_override) const {
-  RunRequest request;
-  request.input = &input;
-  request.budget = budget;
-  request.pool = pool;
-  request.options_override = options_override;
-  return Run(request);
 }
 
 StatusOr<ReverseEngineerReport> Paleo::RunImpl(
@@ -264,9 +227,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
         options.atom_cache_bytes,
         AtomSelectionCache::MetricHandles{
             metrics.cache_hits, metrics.cache_misses,
-            metrics.cache_evictions, metrics.cache_resident_bytes,
-            metrics.conjunction_cache_hits,
-            metrics.conjunction_cache_misses});
+            metrics.cache_evictions, metrics.cache_resident_bytes});
   }
   step_timer.Reset();
   obs::ScopedSpan validate_span(trace, "validate", run_span.id());

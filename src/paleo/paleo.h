@@ -11,7 +11,9 @@
 // Typical use:
 //
 //   Paleo paleo(&table, PaleoOptions{});
-//   auto report = paleo.Run(input_list);
+//   RunRequest request;
+//   request.input = &input_list;
+//   auto report = paleo.Run(request);
 //   if (report.ok() && report->found()) {
 //     std::cout << report->valid[0].query.ToSql(table.schema());
 //   }
@@ -24,8 +26,7 @@
 // sample spec (Section 6.4), budget, thread pool, per-request options
 // override, and observability sinks (a MetricsRegistry and a trace
 // switch) — so one canonical entry point serves sequential, sampled,
-// and concurrent callers alike. The older Run/RunOnSample/
-// RunConcurrent signatures remain as thin wrappers.
+// and concurrent callers alike.
 
 #ifndef PALEO_PALEO_PALEO_H_
 #define PALEO_PALEO_PALEO_H_
@@ -86,10 +87,10 @@ struct ReverseEngineerReport {
   int64_t speculative_executions = 0;
   int64_t skip_events = 0;
   /// Executions the threshold monitor refuted mid-scan (a subset of
-  /// executed_queries; 0 with options.threshold_pruning off) and the
-  /// base-table rows those aborts plus shared-aggregate cache hits
-  /// skipped. Side observations only: the valid set is identical with
-  /// pruning/sharing on or off.
+  /// executed_queries) and the base-table rows those aborts left
+  /// unscanned; both 0 with options.threshold_pruning off. Side
+  /// observations only: the valid set is identical with pruning on or
+  /// off.
   int64_t executions_aborted_early = 0;
   int64_t rows_saved = 0;
 
@@ -171,9 +172,9 @@ struct RunRequest {
 
   /// Executor to run candidate queries through. nullptr (the default)
   /// gives the request a private stack-local executor, which is what
-  /// makes Run() safe to call concurrently; passing one shares its
-  /// accumulated Stats across runs (the legacy wrappers pass the
-  /// member executor) at the cost of that thread safety.
+  /// makes Run() safe to call concurrently; passing one (e.g.
+  /// Paleo::executor()) accumulates its Stats across runs at the cost
+  /// of that thread safety.
   Executor* executor = nullptr;
 
   /// Observability sinks. `metrics` (not owned) receives the
@@ -192,9 +193,8 @@ struct RunRequest {
 /// on one instance simultaneously as long as each request leaves
 /// RunRequest::executor null (the default) — each call then gets its
 /// own Executor and leaves the instance untouched. This is the entry
-/// point the DiscoveryService serves requests through. The legacy
-/// Run/RunOnSample wrappers share the member executor and are
-/// single-threaded, as before.
+/// point the DiscoveryService serves requests through. Requests that
+/// pass executor() share the member executor and are single-threaded.
 class Paleo {
  public:
   /// `base` must outlive this object. Builds the entity index and the
@@ -226,29 +226,6 @@ class Paleo {
   /// (Section 6.4), under the request's budget/options/observability.
   /// Thread-safe when request.executor is null (the default).
   StatusOr<ReverseEngineerReport> Run(const RunRequest& request) const;
-
-  /// DEPRECATED: thin wrapper over Run(const RunRequest&) kept for
-  /// source compatibility; shares the member executor, so it is
-  /// single-threaded. Prefer the RunRequest form.
-  StatusOr<ReverseEngineerReport> Run(const TopKList& input,
-                                      bool keep_candidates = false,
-                                      const RunBudget* budget = nullptr);
-
-  /// DEPRECATED: thin wrapper over Run(const RunRequest&) with the
-  /// request's sample fields filled in; shares the member executor.
-  StatusOr<ReverseEngineerReport> RunOnSample(
-      const TopKList& input, const std::vector<RowId>& sample_rows,
-      double sample_fraction, bool keep_candidates = false,
-      double coverage_ratio_override = -1.0,
-      const RunBudget* budget = nullptr);
-
-  /// DEPRECATED: thin wrapper over Run(const RunRequest&) with a null
-  /// request executor — i.e. plain Run(), which is already
-  /// thread-safe. Prefer the RunRequest form.
-  StatusOr<ReverseEngineerReport> RunConcurrent(
-      const TopKList& input, const RunBudget* budget = nullptr,
-      ThreadPool* pool = nullptr,
-      const PaleoOptions* options_override = nullptr) const;
 
  private:
   StatusOr<ReverseEngineerReport> RunImpl(const RunRequest& request,

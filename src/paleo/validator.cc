@@ -70,8 +70,7 @@ StatusOr<ValidationOutcome> Validator::RankedValidation(
                              .cache = cache_,
                              .pool = pool_,
                              .scan_threads = options_.scan_threads,
-                             .threshold = monitor.get(),
-                             .share_aggregates = options_.share_aggregates};
+                             .threshold = monitor.get()};
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (options_.max_query_executions > 0 &&
         outcome.executions >= options_.max_query_executions) {
@@ -171,15 +170,13 @@ StatusOr<ValidationOutcome> Validator::SmartValidation(
       .budget = budget,
       .cache = cache_,
       .pool = pool_,
-      .scan_threads = options_.scan_threads,
-      .share_aggregates = options_.share_aggregates};
+      .scan_threads = options_.scan_threads};
   const ExecContext pruned_ctx{
       .budget = budget,
       .cache = cache_,
       .pool = pool_,
       .scan_threads = options_.scan_threads,
-      .threshold = monitor.get(),
-      .share_aggregates = options_.share_aggregates};
+      .threshold = monitor.get()};
   enum class Exec { kOk, kRefuted, kStop };
   auto execute = [&](size_t idx, const ExecContext& exec_ctx,
                      TopKList* result) {
@@ -340,15 +337,13 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
   const ExecContext task_ctx{.budget = &task_budget,
                              .cache = cache_,
                              .pool = pool_,
-                             .scan_threads = options_.scan_threads,
-                             .share_aggregates = options_.share_aggregates};
+                             .scan_threads = options_.scan_threads};
   const ExecContext pruned_task_ctx{
       .budget = &task_budget,
       .cache = cache_,
       .pool = pool_,
       .scan_threads = options_.scan_threads,
-      .threshold = monitor.get(),
-      .share_aggregates = options_.share_aggregates};
+      .threshold = monitor.get()};
 
   struct Slot {
     enum class State { kPending, kLaunched, kSkipped };

@@ -22,7 +22,9 @@ TEST(ExplainTest, RendersFoundReport) {
   auto table = TrafficGen::PaperExample();
   ASSERT_TRUE(table.ok());
   Paleo paleo(&*table, PaleoOptions{});
-  auto report = paleo.Run(PaperList(), /*keep_candidates=*/true);
+  const TopKList input = PaperList();
+  auto report =
+      paleo.Run(RunRequest{.input = &input, .keep_candidates = true});
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->found());
 
@@ -47,7 +49,7 @@ TEST(ExplainTest, RendersNotFoundReportWithoutCandidates) {
   bogus.Append("Richard Fox", 0.125);
   bogus.Append("Jack Stiles", 0.0625);
   Paleo paleo(&*table, PaleoOptions{});
-  auto report = paleo.Run(bogus);
+  auto report = paleo.Run(RunRequest{.input = &bogus});
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->found());
 
@@ -61,7 +63,9 @@ TEST(ExplainTest, OptionsControlSections) {
   auto table = TrafficGen::PaperExample();
   ASSERT_TRUE(table.ok());
   Paleo paleo(&*table, PaleoOptions{});
-  auto report = paleo.Run(PaperList(), /*keep_candidates=*/true);
+  const TopKList input = PaperList();
+  auto report =
+      paleo.Run(RunRequest{.input = &input, .keep_candidates = true});
   ASSERT_TRUE(report.ok());
 
   ExplainOptions options;

@@ -40,8 +40,12 @@ TEST(OptionsBehaviorTest, DimensionIndexDoesNotChangeResults) {
   without_index.use_dimension_index = false;
   Paleo a(&f.table, with_index);
   Paleo b(&f.table, without_index);
-  auto ra = a.Run(f.query.list);
-  auto rb = b.Run(f.query.list);
+  // Both runs go through the member executors, whose Stats are read
+  // below.
+  auto ra = a.Run(
+      RunRequest{.input = &f.query.list, .executor = a.executor()});
+  auto rb = b.Run(
+      RunRequest{.input = &f.query.list, .executor = b.executor()});
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   ASSERT_TRUE(ra->found());
@@ -66,8 +70,11 @@ TEST(OptionsBehaviorTest, MaxCriteriaPerGroupCapsSampledCandidates) {
   auto sample = Sampler::UniformPerEntity(
       a.index(), f.query.list.DistinctEntities(), 0.3, 5);
   ASSERT_TRUE(sample.ok());
-  auto ra = a.RunOnSample(f.query.list, *sample, 0.3);
-  auto rb = b.RunOnSample(f.query.list, *sample, 0.3);
+  const RunRequest request{.input = &f.query.list,
+                           .sample_rows = &*sample,
+                           .sample_fraction = 0.3};
+  auto ra = a.Run(request);
+  auto rb = b.Run(request);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_LT(ra->candidate_queries, rb->candidate_queries);
@@ -137,7 +144,8 @@ TEST(OptionsBehaviorTest, MaxPredicateSizeBoundsMinedConjunctions) {
     options.max_predicate_size = cap;
     options.include_empty_predicate = false;
     Paleo paleo(&f.table, options);
-    auto report = paleo.Run(f.query.list, /*keep_candidates=*/true);
+    auto report = paleo.Run(
+        RunRequest{.input = &f.query.list, .keep_candidates = true});
     ASSERT_TRUE(report.ok());
     for (const CandidateQuery& cq : report->candidates) {
       EXPECT_LE(cq.query.predicate.size(), cap);
@@ -151,7 +159,7 @@ TEST(OptionsBehaviorTest, ExecutionBudgetStopsEarly) {
   options.max_query_executions = 1;
   options.validation_strategy = ValidationStrategy::kRanked;
   Paleo paleo(&f.table, options);
-  auto report = paleo.Run(f.query.list);
+  auto report = paleo.Run(RunRequest{.input = &f.query.list});
   ASSERT_TRUE(report.ok());
   EXPECT_LE(report->executed_queries, 2);  // 1 per validation pass
 }
@@ -174,13 +182,13 @@ TEST(OptionsBehaviorTest, MinCountAggregatesAreOptIn) {
 
   PaleoOptions off;  // default: min/count disabled
   Paleo without(&*table, off);
-  auto r_without = without.Run(*list);
+  auto r_without = without.Run(RunRequest{.input = &*list});
   ASSERT_TRUE(r_without.ok());
 
   PaleoOptions on;
   on.enable_min_count = true;
   Paleo with(&*table, on);
-  auto r_with = with.Run(*list);
+  auto r_with = with.Run(RunRequest{.input = &*list});
   ASSERT_TRUE(r_with.ok());
   EXPECT_TRUE(r_with->found());
   // With the extension on, the min criterion is found; without it the

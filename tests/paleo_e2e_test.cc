@@ -41,7 +41,7 @@ TEST(PaleoE2eTest, PaperIntroductionExample) {
   input.Append("Jack Stiles", 586);
 
   Paleo paleo(&*table, PaleoOptions{});
-  auto report = paleo.Run(input);
+  auto report = paleo.Run(RunRequest{.input = &input});
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->found());
   ExpectInstanceEquivalent(*table, report->valid[0].query, input);
@@ -82,7 +82,7 @@ TEST_P(PaleoWorkloadE2eTest, RecoversGeneratedQueriesOnTpch) {
 
   Paleo paleo(&*table, PaleoOptions{});
   for (const WorkloadQuery& wq : *workload) {
-    auto report = paleo.Run(wq.list);
+    auto report = paleo.Run(RunRequest{.input = &wq.list});
     ASSERT_TRUE(report.ok()) << wq.name;
     ASSERT_TRUE(report->found())
         << wq.name << ": " << wq.query.ToSql(table->schema());
@@ -144,7 +144,7 @@ TEST(PaleoE2eTest, RecoversQueriesOnSsb) {
 
   Paleo paleo(&*table, PaleoOptions{});
   for (const WorkloadQuery& wq : *workload) {
-    auto report = paleo.Run(wq.list);
+    auto report = paleo.Run(RunRequest{.input = &wq.list});
     ASSERT_TRUE(report.ok()) << wq.name;
     ASSERT_TRUE(report->found()) << wq.name;
     ExpectInstanceEquivalent(*table, report->valid[0].query, wq.list);
@@ -168,15 +168,16 @@ TEST(PaleoE2eTest, ValidationDominatesStepTimes) {
 
   // Scan-based validation (the paper's profile): disable the secondary
   // indexes so every execution reads all of R, and switch off threshold
-  // pruning and aggregate sharing — both legitimately shrink
-  // rows_scanned, but this test measures the unoptimized full-scan
-  // profile that the rows_scanned >= executions * |R| bound encodes.
+  // pruning — it legitimately shrinks rows_scanned, but this test
+  // measures the unoptimized full-scan profile that the
+  // rows_scanned >= executions * |R| bound encodes.
   PaleoOptions options;
   options.use_dimension_index = false;
   options.threshold_pruning = false;
-  options.share_aggregates = false;
   Paleo paleo(&*table, options);
-  auto report = paleo.Run((*workload)[0].list);
+  // The member executor's Stats are read below.
+  auto report = paleo.Run(RunRequest{.input = &(*workload)[0].list,
+                                     .executor = paleo.executor()});
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->found());
   // Step 3 scans all of R once per executed candidate, while steps 1-2
@@ -211,7 +212,8 @@ TEST(PaleoE2eTest, SampledRunRecoversSingleColumnQuery) {
   auto sample = Sampler::UniformPerEntity(
       paleo.index(), wq.list.DistinctEntities(), 0.3, 99);
   ASSERT_TRUE(sample.ok());
-  auto report = paleo.RunOnSample(wq.list, *sample, 0.3);
+  auto report = paleo.Run(RunRequest{
+      .input = &wq.list, .sample_rows = &*sample, .sample_fraction = 0.3});
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->found()) << wq.query.ToSql(table->schema());
   ExpectInstanceEquivalent(*table, report->valid[0].query, wq.list);
@@ -227,7 +229,8 @@ TEST(PaleoE2eTest, KeepCandidatesReturnsScoredList) {
   input.Append("Richard Fox", 596);
   input.Append("Jack Stiles", 586);
   Paleo paleo(&*table, PaleoOptions{});
-  auto report = paleo.Run(input, /*keep_candidates=*/true);
+  auto report =
+      paleo.Run(RunRequest{.input = &input, .keep_candidates = true});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(static_cast<int64_t>(report->candidates.size()),
             report->candidate_queries);
@@ -257,7 +260,7 @@ TEST(PaleoE2eTest, RecoversAscendingOrderQuery) {
   PaleoOptions options;
   options.enable_min_count = true;
   Paleo paleo(&*table, options);
-  auto report = paleo.Run(*list);
+  auto report = paleo.Run(RunRequest{.input = &*list});
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->found());
   EXPECT_EQ(report->valid[0].query.order, SortOrder::kAsc);
@@ -280,8 +283,10 @@ TEST(PaleoE2eTest, DeterministicAcrossIdenticalRuns) {
 
   Paleo a(&*table, PaleoOptions{});
   Paleo b(&*table, PaleoOptions{});
-  auto ra = a.Run((*workload)[0].list, /*keep_candidates=*/true);
-  auto rb = b.Run((*workload)[0].list, /*keep_candidates=*/true);
+  const RunRequest request{.input = &(*workload)[0].list,
+                           .keep_candidates = true};
+  auto ra = a.Run(request);
+  auto rb = b.Run(request);
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ(ra->executed_queries, rb->executed_queries);
@@ -330,9 +335,10 @@ TEST(PaleoE2eTest, PartialMatchRecoversFromDriftedData) {
     all_rows[r] = static_cast<RowId>(r);
   }
   // Sample semantics with relaxed coverage: R' is untrusted.
-  auto report = paleo.RunOnSample(*input, all_rows, 1.0,
-                                  /*keep_candidates=*/false,
-                                  /*coverage_ratio_override=*/0.7);
+  auto report = paleo.Run(RunRequest{.input = &*input,
+                                     .sample_rows = &all_rows,
+                                     .sample_fraction = 1.0,
+                                     .coverage_ratio_override = 0.7});
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->found());
   // The accepted query's result is genuinely similar to the input.
@@ -351,7 +357,7 @@ TEST(PaleoE2eTest, NoValidQueryForForeignList) {
   input.Append("Richard Fox", 0.125);
   input.Append("Jack Stiles", 0.0625);
   Paleo paleo(&*table, PaleoOptions{});
-  auto report = paleo.Run(input);
+  auto report = paleo.Run(RunRequest{.input = &input});
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(report->found());
 }

@@ -124,7 +124,7 @@ TEST_P(PipelinePropertyTest, CompleteRPrimeAlwaysRecoversAQuery) {
     if (static_cast<int>(list->size()) != hidden.k) continue;  // too few
     ++attempted;
 
-    auto report = paleo.Run(*list);
+    auto report = paleo.Run(RunRequest{.input = &*list});
     ASSERT_TRUE(report.ok());
     ASSERT_TRUE(report->found())
         << "not recovered: " << hidden.ToSql(table.schema())
@@ -160,8 +160,8 @@ TEST_P(PipelinePropertyTest, SmartAndRankedAgreeOnDiscoverability) {
     ASSERT_TRUE(list.ok());
     if (static_cast<int>(list->size()) != hidden.k) continue;
 
-    auto smart_report = smart.Run(*list);
-    auto ranked_report = ranked.Run(*list);
+    auto smart_report = smart.Run(RunRequest{.input = &*list});
+    auto ranked_report = ranked.Run(RunRequest{.input = &*list});
     ASSERT_TRUE(smart_report.ok());
     ASSERT_TRUE(ranked_report.ok());
     EXPECT_EQ(smart_report->found(), ranked_report->found());

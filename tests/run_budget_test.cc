@@ -146,7 +146,8 @@ TEST(GovernedRunTest, DefaultOptionsRunUngoverned) {
   auto table = TrafficGen::PaperExample();
   ASSERT_TRUE(table.ok());
   Paleo baseline(&*table, PaleoOptions{});
-  auto ungoverned = baseline.Run(PaperInput());
+  const TopKList input = PaperInput();
+  auto ungoverned = baseline.Run(RunRequest{.input = &input});
   ASSERT_TRUE(ungoverned.ok());
 
   // Zeroed knobs and an explicit unlimited budget take the nullptr fast
@@ -157,7 +158,7 @@ TEST(GovernedRunTest, DefaultOptionsRunUngoverned) {
   Paleo governed(&*table, options);
   RunBudget unlimited;
   auto report =
-      governed.Run(PaperInput(), /*keep_candidates=*/false, &unlimited);
+      governed.Run(RunRequest{.input = &input, .budget = &unlimited});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->termination, TerminationReason::kCompleted);
   EXPECT_TRUE(report->near_misses.empty());
@@ -197,7 +198,7 @@ TEST(GovernedRunTest, TinyDeadlineTerminatesPromptlyWithNearMisses) {
   Paleo paleo(&*table, options);
 
   Timer timer;
-  auto report = paleo.Run(*input);
+  auto report = paleo.Run(RunRequest{.input = &*input});
   double elapsed_ms = timer.ElapsedMillis();
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->termination, TerminationReason::kDeadline);
@@ -224,7 +225,9 @@ TEST(GovernedRunTest, ExecutionCapReportsBudgetWithNearMisses) {
   PaleoOptions ungoverned;
   ungoverned.stop_at_first_valid = false;
   Paleo baseline(&*table, ungoverned);
-  auto full = baseline.Run(PaperInput(), /*keep_candidates=*/true);
+  const TopKList input = PaperInput();
+  auto full =
+      baseline.Run(RunRequest{.input = &input, .keep_candidates = true});
   ASSERT_TRUE(full.ok());
   ASSERT_GT(full->candidates.size(), 1u);
 
@@ -232,7 +235,7 @@ TEST(GovernedRunTest, ExecutionCapReportsBudgetWithNearMisses) {
   options.stop_at_first_valid = false;
   options.max_validation_executions = 1;
   Paleo paleo(&*table, options);
-  auto report = paleo.Run(PaperInput());
+  auto report = paleo.Run(RunRequest{.input = &input});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->termination, TerminationReason::kExecutionBudget);
   EXPECT_EQ(report->executed_queries, 1);
@@ -247,7 +250,8 @@ TEST(GovernedRunTest, PreCancelledTokenStopsTheRun) {
   RunBudget budget;
   budget.set_cancellation_token(&token);
   Paleo paleo(&*table, PaleoOptions{});
-  auto report = paleo.Run(PaperInput(), /*keep_candidates=*/false, &budget);
+  const TopKList input = PaperInput();
+  auto report = paleo.Run(RunRequest{.input = &input, .budget = &budget});
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->termination, TerminationReason::kCancelled);
   EXPECT_TRUE(report->valid.empty());

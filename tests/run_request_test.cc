@@ -1,8 +1,8 @@
-// RunRequest API equivalence suite: the deprecated Run / RunOnSample /
-// RunConcurrent wrappers must produce reports byte-identical (modulo
-// wall-clock fields) to the canonical Run(const RunRequest&), under
-// both sequential and parallel validation; plus coverage of the
-// observability sinks the request carries (metrics registry, trace).
+// RunRequest API suite: equivalent requests must produce reports
+// byte-identical (modulo wall-clock fields) under sequential and
+// parallel validation, options overrides, and the sample coverage
+// schedule; plus coverage of the observability sinks the request
+// carries (metrics registry, trace).
 
 #include <gtest/gtest.h>
 
@@ -114,49 +114,6 @@ TEST_F(RunRequestTest, NullInputIsInvalidArgument) {
       << report.status().ToString();
 }
 
-TEST_F(RunRequestTest, DeprecatedRunWrapperMatchesRunRequest) {
-  Paleo paleo(&table(), PaleoOptions{});
-  for (const WorkloadQuery& wq : workload()) {
-    auto via_wrapper = paleo.Run(wq.list, /*keep_candidates=*/true);
-    ASSERT_TRUE(via_wrapper.ok()) << wq.name;
-
-    RunRequest request;
-    request.input = &wq.list;
-    request.keep_candidates = true;
-    auto via_request = paleo.Run(request);
-    ASSERT_TRUE(via_request.ok()) << wq.name;
-
-    EXPECT_EQ(Fingerprint(*via_wrapper, table().schema()),
-              Fingerprint(*via_request, table().schema()))
-        << wq.name;
-  }
-}
-
-TEST_F(RunRequestTest, DeprecatedRunOnSampleWrapperMatchesRunRequest) {
-  Paleo paleo(&table(), PaleoOptions{});
-  for (const WorkloadQuery& wq : workload()) {
-    auto sample = Sampler::UniformPerEntity(
-        paleo.index(), wq.list.DistinctEntities(), 0.5, /*seed=*/42);
-    ASSERT_TRUE(sample.ok()) << wq.name;
-
-    auto via_wrapper = paleo.RunOnSample(wq.list, *sample, 0.5,
-                                         /*keep_candidates=*/true);
-    ASSERT_TRUE(via_wrapper.ok()) << wq.name;
-
-    RunRequest request;
-    request.input = &wq.list;
-    request.sample_rows = &*sample;
-    request.sample_fraction = 0.5;
-    request.keep_candidates = true;
-    auto via_request = paleo.Run(request);
-    ASSERT_TRUE(via_request.ok()) << wq.name;
-
-    EXPECT_EQ(Fingerprint(*via_wrapper, table().schema()),
-              Fingerprint(*via_request, table().schema()))
-        << wq.name;
-  }
-}
-
 TEST_F(RunRequestTest, CoverageOverrideForwardedByBothPaths) {
   Paleo paleo(&table(), PaleoOptions{});
   const WorkloadQuery& wq = workload()[0];
@@ -164,42 +121,25 @@ TEST_F(RunRequestTest, CoverageOverrideForwardedByBothPaths) {
       paleo.index(), wq.list.DistinctEntities(), 0.3, /*seed=*/7);
   ASSERT_TRUE(sample.ok());
 
-  auto via_wrapper =
-      paleo.RunOnSample(wq.list, *sample, 0.3, /*keep_candidates=*/false,
-                        /*coverage_ratio_override=*/0.3);
-  ASSERT_TRUE(via_wrapper.ok());
+  // The coverage ratio reaches the pipeline by either path: the
+  // sample-fraction schedule, or an explicit override that replaces
+  // it. A 30% sample's scheduled ratio and the same ratio given as an
+  // override on a full-fraction request must run identically.
+  RunRequest scheduled;
+  scheduled.input = &wq.list;
+  scheduled.sample_rows = &*sample;
+  scheduled.sample_fraction = 0.3;
+  auto via_schedule = paleo.Run(scheduled);
+  ASSERT_TRUE(via_schedule.ok());
 
-  RunRequest request;
-  request.input = &wq.list;
-  request.sample_rows = &*sample;
-  request.sample_fraction = 0.3;
-  request.coverage_ratio_override = 0.3;
-  auto via_request = paleo.Run(request);
-  ASSERT_TRUE(via_request.ok());
+  RunRequest overridden = scheduled;
+  overridden.sample_fraction = 1.0;
+  overridden.coverage_ratio_override = CoverageRatioForSample(0.3);
+  auto via_override = paleo.Run(overridden);
+  ASSERT_TRUE(via_override.ok());
 
-  EXPECT_EQ(Fingerprint(*via_wrapper, table().schema()),
-            Fingerprint(*via_request, table().schema()));
-}
-
-TEST_F(RunRequestTest, DeprecatedRunConcurrentWrapperMatchesRunRequest) {
-  PaleoOptions options;
-  options.num_threads = 4;
-  Paleo paleo(&table(), options);
-  ThreadPool pool(4);
-  for (const WorkloadQuery& wq : workload()) {
-    auto via_wrapper = paleo.RunConcurrent(wq.list, nullptr, &pool);
-    ASSERT_TRUE(via_wrapper.ok()) << wq.name;
-
-    RunRequest request;
-    request.input = &wq.list;
-    request.pool = &pool;
-    auto via_request = paleo.Run(request);
-    ASSERT_TRUE(via_request.ok()) << wq.name;
-
-    EXPECT_EQ(Fingerprint(*via_wrapper, table().schema()),
-              Fingerprint(*via_request, table().schema()))
-        << wq.name;
-  }
+  EXPECT_EQ(Fingerprint(*via_schedule, table().schema()),
+            Fingerprint(*via_override, table().schema()));
 }
 
 TEST_F(RunRequestTest, ParallelValidationMatchesSequentialFingerprint) {

@@ -377,9 +377,7 @@ TEST(VectorizedExecTest, PipelineEquivalenceSequentialAndParallel) {
     options.vectorized_execution = vectorized;
     options.num_threads = num_threads;
     Paleo paleo(&*table, options);
-    auto report = pool != nullptr
-                      ? paleo.RunConcurrent(*input, nullptr, pool)
-                      : paleo.RunConcurrent(*input, nullptr, nullptr);
+    auto report = paleo.Run(RunRequest{.input = &*input, .pool = pool});
     EXPECT_TRUE(report.ok());
     EXPECT_TRUE(report->found());
     if (!report.ok() || !report->found()) return 0;
@@ -416,7 +414,7 @@ TEST(VectorizedExecTest, PipelineBudgetInterruptionStillWindsDownClean) {
   budget.set_cancellation_token(&token);
   PaleoOptions options;  // vectorized by default
   Paleo paleo(&*table, options);
-  auto report = paleo.RunConcurrent(*input, &budget, nullptr);
+  auto report = paleo.Run(RunRequest{.input = &*input, .budget = &budget});
   // Graceful wind-down, not an error: the budget was exhausted before
   // any execution completed.
   ASSERT_TRUE(report.ok());
