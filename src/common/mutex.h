@@ -52,18 +52,35 @@ class CAPABILITY("mutex") Mutex {
 };
 
 /// \brief Reader/writer mutex carrying the "shared_mutex" capability.
+///
+/// Writer-preferring. glibc's std::shared_mutex prefers readers, so two
+/// readers whose critical sections overlap can keep a writer parked
+/// forever. Here every acquisition first passes `gate_`, and a writer
+/// holds the gate until it owns the lock: new readers queue behind a
+/// waiting writer, the readers already inside drain, and the writer gets
+/// in. Readers still share the lock with each other. The reader side is
+/// not recursive: a thread holding it must not take it again.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void Lock() ACQUIRE() { mu_.lock(); }
+  void Lock() ACQUIRE() {
+    gate_.lock();
+    mu_.lock();
+    gate_.unlock();
+  }
   void Unlock() RELEASE() { mu_.unlock(); }
-  void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
+  void LockShared() ACQUIRE_SHARED() {
+    gate_.lock();
+    mu_.lock_shared();
+    gate_.unlock();
+  }
   void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
 
  private:
+  std::mutex gate_;
   std::shared_mutex mu_;
 };
 

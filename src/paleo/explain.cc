@@ -70,6 +70,8 @@ std::string ExplainReport(const ReverseEngineerReport& report,
                                                 : Join(techniques, ", "));
   out += Line("criteria evaluated:",
               WithThousands(report.ranking_info.tuple_set_evaluations));
+  out += Line("early rejects:",
+              WithThousands(report.ranking_info.early_rejects));
   out += Line("candidate queries:",
               WithThousands(report.candidate_queries));
 

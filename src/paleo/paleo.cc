@@ -211,6 +211,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
                report.timings.find_ranking_ms);
   rank_span.AddAttr("tuple_set_evaluations",
                     report.ranking_info.tuple_set_evaluations);
+  rank_span.AddAttr("early_rejects", report.ranking_info.early_rejects);
   rank_span.AddAttr("candidate_queries", report.candidate_queries);
   rank_span.End();
 

@@ -9,13 +9,55 @@ namespace paleo {
 
 namespace {
 
+/// Dense bitmap over R' rows: bit r set iff local row r is selected.
+using RowBits = std::vector<uint64_t>;
+
 /// Working representation during the level-wise search.
 struct LevelEntry {
   Predicate predicate;
   TupleSet rows;
+  /// `rows` as a bitmap; present only on entries that a further level
+  /// extends (level 1 and the level being extended).
+  RowBits bits;
   int max_column;  // largest column index among the atoms
   int covered;
 };
+
+RowBits ToBits(const TupleSet& rows, size_t words) {
+  RowBits bits(words, 0);
+  for (RowId r : rows) bits[r >> 6] |= uint64_t{1} << (r & 63);
+  return bits;
+}
+
+/// The set rows of `bits` as a sorted tuple set of `count` rows.
+TupleSet ToTupleSet(const RowBits& bits, int count) {
+  TupleSet rows;
+  rows.reserve(static_cast<size_t>(count));
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      rows.push_back(static_cast<RowId>(w * 64 + static_cast<size_t>(
+                                                     __builtin_ctzll(word))));
+    }
+  }
+  return rows;
+}
+
+/// CountCoveredEntities over the rows set in `bits`.
+int CountCoveredBits(const RowBits& bits,
+                     const std::vector<uint32_t>& row_entity,
+                     int num_entities, std::vector<uint64_t>* scratch) {
+  scratch->assign((static_cast<size_t>(num_entities) + 63) / 64, 0);
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      uint32_t e = row_entity[w * 64 + static_cast<size_t>(
+                                           __builtin_ctzll(word))];
+      (*scratch)[e >> 6] |= uint64_t{1} << (e & 63);
+    }
+  }
+  int covered = 0;
+  for (uint64_t w : *scratch) covered += __builtin_popcountll(w);
+  return covered;
+}
 
 /// Coverage bitmap of a tuple set.
 std::vector<uint64_t> CoverageBitmap(const TupleSet& rows,
@@ -205,13 +247,22 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
   }
 
   // ---- Levels 2..max: column-increasing extension ----
+  // Extensions intersect dense row bitmaps: one word-wise AND plus a
+  // popcount per pair. Only survivors are turned back into sorted tuple
+  // sets, so groups and predicate order match a sorted-list merge.
+  const size_t words = (slice.num_rows() + 63) / 64;
+  if (options_.max_predicate_size >= 2) {
+    for (LevelEntry& entry : level1) entry.bits = ToBits(entry.rows, words);
+  }
   std::vector<std::vector<LevelEntry>> levels;
   levels.push_back(std::move(level1));
+  RowBits both(words);
+  std::vector<uint64_t> scratch;
   for (int size = 2;
        size <= options_.max_predicate_size && !gate.exhausted(); ++size) {
-    const std::vector<LevelEntry>& prev = levels.back();
+    const bool extended_again = size < options_.max_predicate_size;
+    std::vector<LevelEntry>& prev = levels.back();
     std::vector<LevelEntry> next;
-    std::vector<uint64_t> scratch;
     for (const LevelEntry& base : prev) {
       if (gate.exhausted()) break;
       for (const LevelEntry& atom : levels[0]) {
@@ -223,23 +274,36 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
         // generated exactly once and same-column conflicts are
         // impossible.
         if (atom.max_column <= base.max_column) continue;
-        TupleSet rows = IntersectSorted(base.rows, atom.rows);
-        if (static_cast<int>(rows.size()) < required) continue;
-        int covered = CountCoveredEntities(rows, row_entity, m, &scratch);
+        int count = 0;
+        for (size_t w = 0; w < words; ++w) {
+          both[w] = base.bits[w] & atom.bits[w];
+          count += __builtin_popcountll(both[w]);
+        }
+        if (count < required) continue;
+        int covered = CountCoveredBits(both, row_entity, m, &scratch);
         if (covered < required) continue;
         auto extended =
             base.predicate.And(atom.predicate.atoms().front());
         if (!extended.ok()) continue;  // unreachable by construction
         LevelEntry entry;
         entry.predicate = std::move(extended).value();
-        entry.rows = std::move(rows);
+        entry.rows = ToTupleSet(both, count);
+        if (extended_again) entry.bits = both;
         entry.max_column = atom.max_column;
         entry.covered = covered;
         next.push_back(std::move(entry));
       }
     }
+    // The extended level's bitmaps are spent; level 1's are still
+    // needed as the atoms of the next extension.
+    if (levels.size() > 1) {
+      for (LevelEntry& entry : prev) RowBits().swap(entry.bits);
+    }
     if (next.empty()) break;
     levels.push_back(std::move(next));
+  }
+  for (std::vector<LevelEntry>& level : levels) {
+    for (LevelEntry& entry : level) RowBits().swap(entry.bits);
   }
 
   // The empty conjunction (all rows) as an explicit candidate, so

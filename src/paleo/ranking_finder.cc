@@ -24,6 +24,24 @@ struct Stage {
 
 }  // namespace
 
+ExactnessCheck::ExactnessCheck(const std::vector<double>& targets,
+                               size_t list_size, double rel_eps)
+    : targets_(targets),
+      list_fits_(list_size == targets.size()),
+      bounds_values_(!(rel_eps > 0.125) &&
+                     std::all_of(targets.begin(), targets.end(),
+                                 [](double t) { return std::isfinite(t); })),
+      pad_(4.0 * rel_eps) {}
+
+bool ExactnessCheck::Admits(size_t e, double v,
+                            bool finite_aggregates) const {
+  if (std::isnan(v)) return false;
+  if (!finite_aggregates || !bounds_values_) return true;
+  double t = targets_[e];
+  return v == t || std::abs(v - t) <=
+                       pad_ * std::max({std::abs(v), std::abs(t), 1.0});
+}
+
 StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     const std::vector<PredicateGroup>& groups, const TopKList& input,
     bool assume_complete, RankingSearchInfo* info, bool exhaustive,
@@ -160,119 +178,197 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
       }
     }
   }
+  const double max_scale =
+      *std::max_element(sum_scale.begin(), sum_scale.end());
 
   const std::vector<uint32_t>& row_entity = rprime_.row_entity();
+  const std::vector<double>& targets = rprime_.entity_values();
 
-  // Evaluates (expr, agg) over a tuple set; returns the candidate if it
-  // qualifies (exact in complete mode, scored otherwise).
-  auto evaluate = [&](const TupleSet& rows, const RankExpr& expr, AggFn agg)
+  // Necessary condition for exactness, shared by every grouped
+  // criterion.
+  const ExactnessCheck exactness(targets, k, options_.rel_eps);
+  const bool list_fits = exactness.list_fits();
+
+  // Largest |value| of each measure over R', +inf once a value is NaN
+  // or infinite. It bounds every aggregate, so the value check runs
+  // only for criteria whose aggregates are all provably finite.
+  std::vector<double> max_abs(static_cast<size_t>(schema.num_fields()), 0.0);
+  for (int c : measures) {
+    const Column& col = slice.column(c);
+    double a = 0.0;
+    for (size_t r = 0; r < slice.num_rows(); ++r) {
+      double x = std::abs(col.NumericAt(static_cast<RowId>(r)));
+      if (!(x <= std::numeric_limits<double>::max())) {
+        a = std::numeric_limits<double>::infinity();
+        break;
+      }
+      a = std::max(a, x);
+    }
+    max_abs[static_cast<size_t>(c)] = a;
+  }
+  auto finite_aggregates = [&](const RankExpr& expr, AggFn agg,
+                               size_t rows) {
+    const double n = static_cast<double>(rows);
+    const double a = max_abs[static_cast<size_t>(expr.column_a())];
+    double bound = 0.0;
+    switch (expr.kind()) {
+      case RankExpr::Kind::kColumn:
+        if (agg == AggFn::kCount) {
+          bound = n;
+        } else if (agg == AggFn::kMax || agg == AggFn::kMin) {
+          bound = a;
+        } else {
+          bound = a * n * (agg == AggFn::kSum ? max_scale : 1.0);
+        }
+        break;
+      case RankExpr::Kind::kAdd:
+        bound = (a + max_abs[static_cast<size_t>(expr.column_b())]) * n *
+                max_scale;
+        break;
+      case RankExpr::Kind::kMul:
+        bound = a * max_abs[static_cast<size_t>(expr.column_b())] * n *
+                max_scale;
+        break;
+    }
+    return bound <= std::numeric_limits<double>::max() / 4;
+  };
+
+  // Each group's rows bucketed by entity, built on first use and kept
+  // for the whole walk. Bucketing is stable, so an entity accumulates
+  // its rows in row order and its aggregate is bit-identical to a
+  // row-order loop. `order` lists the covered entities by ascending row
+  // count: the value check tries the cheapest entities first.
+  struct EntityRows {
+    std::vector<RowId> rows;
+    std::vector<uint32_t> begin;  // m + 1 offsets into `rows`
+    std::vector<uint32_t> order;
+  };
+  std::vector<EntityRows> by_entity(groups.size());
+  // Null when no grouped criterion of group g can be exact in complete
+  // mode, which rejects them all without touching a row.
+  auto entity_rows = [&](size_t g) -> const EntityRows* {
+    if (assume_complete && !list_fits) return nullptr;
+    EntityRows& b = by_entity[g];
+    if (b.begin.empty()) {
+      const TupleSet& rows = groups[g].rows;
+      b.begin.assign(static_cast<size_t>(m) + 1, 0);
+      for (RowId r : rows) ++b.begin[row_entity[r] + 1];
+      for (uint32_t e = 0; e < static_cast<uint32_t>(m); ++e) {
+        if (b.begin[e + 1] > 0) b.order.push_back(e);
+      }
+      std::stable_sort(b.order.begin(), b.order.end(),
+                       [&](uint32_t x, uint32_t y) {
+                         return b.begin[x + 1] < b.begin[y + 1];
+                       });
+      for (size_t e = 0; e < static_cast<size_t>(m); ++e) {
+        b.begin[e + 1] += b.begin[e];
+      }
+      std::vector<uint32_t> next(b.begin.begin(), b.begin.end() - 1);
+      b.rows.resize(rows.size());
+      for (RowId r : rows) b.rows[next[row_entity[r]]++] = r;
+    }
+    if (assume_complete && b.order.size() != static_cast<size_t>(m)) {
+      return nullptr;
+    }
+    return &b;
+  };
+
+  // Ranks individual tuples (no aggregation).
+  auto score_rows = [&](const TupleSet& rows, const RankExpr& expr)
       -> std::pair<bool, RankingCandidate> {
     ++info->tuple_set_evaluations;
     RankingCandidate cand;
     cand.expr = expr;
-    cand.agg = agg;
-
-    if (agg == AggFn::kNone) {
-      // Rank individual tuples.
-      std::vector<std::pair<double, RowId>> scored;
-      scored.reserve(rows.size());
-      for (RowId r : rows) scored.emplace_back(expr.Eval(slice, r), r);
-      std::sort(scored.begin(), scored.end(), [&](const auto& a,
-                                                  const auto& b) {
-        if (a.first != b.first)
-          return ascending ? a.first < b.first : a.first > b.first;
-        const std::string& na =
-            rprime_.entity_names()[row_entity[a.second]];
-        const std::string& nb =
-            rprime_.entity_names()[row_entity[b.second]];
-        if (na != nb) return na < nb;
-        return a.second < b.second;
-      });
-      if (scored.size() > k) scored.resize(k);
-      TopKList ranked;
-      for (const auto& [v, r] : scored) {
-        ranked.Append(rprime_.entity_names()[row_entity[r]], v);
-      }
-      cand.exact = ranked.InstanceEquals(input, options_.rel_eps);
-      // Unlike grouped criteria (whose values are entity-aligned), row
-      // ranking has no entity alignment built in: a wrong tuple set can
-      // produce L-like VALUES from the wrong entities. Blend the value
-      // distance with Fagin's footrule over the entity sequences so
-      // such impostors score poorly.
-      std::vector<double> top_values = ranked.Values();
-      double value_distance =
-          NormalizedL1(top_values, input_values_in_order);
-      double rank_distance =
-          NormalizedFootrule(ranked.Entities(), input.Entities());
-      cand.distance = (value_distance + rank_distance) / 2.0;
-      bool keep = assume_complete ? cand.exact : true;
-      return {keep, cand};
-    }
-
-    // Grouped aggregation per input entity.
-    std::vector<AggState> states(static_cast<size_t>(m));
-    for (RowId r : rows) {
-      states[row_entity[r]].Add(expr.Eval(slice, r));
-    }
-    std::vector<double> per_entity(static_cast<size_t>(m), 0.0);
-    std::vector<std::pair<double, int>> ranked_entities;
-    for (int e = 0; e < m; ++e) {
-      const AggState& st = states[static_cast<size_t>(e)];
-      if (st.count == 0) continue;
-      double v = st.Finish(agg);
-      if (agg == AggFn::kSum) v *= sum_scale[static_cast<size_t>(e)];
-      per_entity[static_cast<size_t>(e)] = v;
-      ranked_entities.emplace_back(v, e);
-    }
-    std::sort(ranked_entities.begin(), ranked_entities.end(),
-              [&](const auto& a, const auto& b) {
-                if (a.first != b.first)
-                  return ascending ? a.first < b.first : a.first > b.first;
-                return rprime_.entity_names()[static_cast<size_t>(a.second)] <
-                       rprime_.entity_names()[static_cast<size_t>(b.second)];
-              });
+    cand.agg = AggFn::kNone;
+    std::vector<std::pair<double, RowId>> scored;
+    scored.reserve(rows.size());
+    for (RowId r : rows) scored.emplace_back(expr.Eval(slice, r), r);
+    std::sort(scored.begin(), scored.end(), [&](const auto& a,
+                                                const auto& b) {
+      if (a.first != b.first)
+        return ascending ? a.first < b.first : a.first > b.first;
+      const std::string& na = rprime_.entity_names()[row_entity[a.second]];
+      const std::string& nb = rprime_.entity_names()[row_entity[b.second]];
+      if (na != nb) return na < nb;
+      return a.second < b.second;
+    });
+    if (scored.size() > k) scored.resize(k);
     TopKList ranked;
-    for (const auto& [v, e] : ranked_entities) {
-      ranked.Append(rprime_.entity_names()[static_cast<size_t>(e)], v);
+    for (const auto& [v, r] : scored) {
+      ranked.Append(rprime_.entity_names()[row_entity[r]], v);
     }
     cand.exact = ranked.InstanceEquals(input, options_.rel_eps);
-    // Entity-aligned distance: uncovered entities keep value 0 and pay
-    // their full input value.
-    cand.distance = NormalizedL1(per_entity, rprime_.entity_values());
+    // Unlike grouped criteria (whose values are entity-aligned), row
+    // ranking has no entity alignment built in: a wrong tuple set can
+    // produce L-like VALUES from the wrong entities. Blend the value
+    // distance with Fagin's footrule over the entity sequences so
+    // such impostors score poorly.
+    std::vector<double> top_values = ranked.Values();
+    double value_distance = NormalizedL1(top_values, input_values_in_order);
+    double rank_distance =
+        NormalizedFootrule(ranked.Entities(), input.Entities());
+    cand.distance = (value_distance + rank_distance) / 2.0;
     bool keep = assume_complete ? cand.exact : true;
     return {keep, cand};
   };
 
-  // Builds a scored candidate from already-aggregated per-entity
-  // values (entities with count 0 are uncovered and rank nowhere).
-  auto score_entity_values = [&](const std::vector<double>& per_entity,
-                                 const std::vector<int64_t>& counts,
-                                 const RankExpr& expr, AggFn agg)
+  // Scores one grouped criterion; `entity_value(e)` aggregates covered
+  // entity e's rows of `b`. Only a criterion passing the necessary
+  // condition builds its ranked list. In complete mode a failing one is
+  // dropped at the first entity that misses; in scored mode the
+  // condition only settles `exact`, and the distance still comes from
+  // every entity's value.
+  std::vector<double> per_entity(static_cast<size_t>(m));
+  auto score_grouped = [&](const EntityRows* b, const RankExpr& expr,
+                           AggFn agg, const auto& entity_value)
       -> std::pair<bool, RankingCandidate> {
     ++info->tuple_set_evaluations;
     RankingCandidate cand;
     cand.expr = expr;
     cand.agg = agg;
-    std::vector<std::pair<double, int>> ranked_entities;
-    for (int e = 0; e < m; ++e) {
-      if (counts[static_cast<size_t>(e)] == 0) continue;
-      ranked_entities.emplace_back(per_entity[static_cast<size_t>(e)], e);
+    if (b == nullptr) {
+      ++info->early_rejects;
+      return {false, cand};
     }
-    std::sort(ranked_entities.begin(), ranked_entities.end(),
-              [&](const auto& a, const auto& b) {
-                if (a.first != b.first)
-                  return ascending ? a.first < b.first : a.first > b.first;
-                return rprime_.entity_names()[static_cast<size_t>(a.second)] <
-                       rprime_.entity_names()[static_cast<size_t>(b.second)];
-              });
-    TopKList ranked;
-    for (const auto& [v, e] : ranked_entities) {
-      ranked.Append(rprime_.entity_names()[static_cast<size_t>(e)], v);
+    bool fits = list_fits && b->order.size() == static_cast<size_t>(m);
+    const bool finite = finite_aggregates(expr, agg, b->rows.size());
+    std::fill(per_entity.begin(), per_entity.end(), 0.0);
+    for (uint32_t e : b->order) {
+      per_entity[e] = entity_value(e);
+      if (fits && !exactness.Admits(e, per_entity[e], finite)) {
+        fits = false;
+        if (assume_complete) break;
+      }
     }
-    cand.exact = ranked.InstanceEquals(input, options_.rel_eps);
-    cand.distance = NormalizedL1(per_entity, rprime_.entity_values());
-    bool keep = assume_complete ? cand.exact : true;
-    return {keep, cand};
+    if (!fits) {
+      ++info->early_rejects;
+      if (assume_complete) return {false, cand};
+    } else {
+      // No NaN got here, so the sort order is total and independent of
+      // the order entities are listed in.
+      std::vector<std::pair<double, uint32_t>> ranked_entities;
+      ranked_entities.reserve(b->order.size());
+      for (uint32_t e : b->order) {
+        ranked_entities.emplace_back(per_entity[e], e);
+      }
+      std::sort(ranked_entities.begin(), ranked_entities.end(),
+                [&](const auto& x, const auto& y) {
+                  if (x.first != y.first)
+                    return ascending ? x.first < y.first : x.first > y.first;
+                  return rprime_.entity_names()[x.second] <
+                         rprime_.entity_names()[y.second];
+                });
+      TopKList ranked;
+      for (const auto& [v, e] : ranked_entities) {
+        ranked.Append(rprime_.entity_names()[e], v);
+      }
+      cand.exact = ranked.InstanceEquals(input, options_.rel_eps);
+      if (assume_complete && !cand.exact) return {false, cand};
+    }
+    // Entity-aligned distance: uncovered entities keep value 0 and pay
+    // their full input value.
+    cand.distance = NormalizedL1(per_entity, targets);
+    return {true, cand};
   };
 
   // Runs one stage over all groups; returns true if any exact
@@ -296,66 +392,63 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
           rankings[g].candidates.push_back(std::move(scored.second));
         }
       };
-      if (stage.two_column) {
-        // Materialize the tuple set column-wise once: contiguous value
-        // arrays make the per-pair product passes pure array math, and
-        // per-entity counts/sums come out of the same pass. sum(A+B)
-        // pairs then combine sums in O(m) without touching the rows;
-        // sum(A*B) pairs scan the materialized arrays (products do not
-        // decompose).
-        const size_t n_rows = rows.size();
-        std::vector<int64_t> counts(static_cast<size_t>(m), 0);
-        std::vector<uint32_t> row_e(n_rows);
-        std::vector<std::vector<double>> vals(
-            measures.size(), std::vector<double>(n_rows));
-        std::vector<std::vector<double>> col_sums(
-            measures.size(), std::vector<double>(static_cast<size_t>(m)));
-        for (size_t ri = 0; ri < n_rows; ++ri) {
-          uint32_t e = row_entity[rows[ri]];
-          row_e[ri] = e;
-          ++counts[e];
+      if (stage.agg == AggFn::kNone) {
+        for (int c : columns) {
+          if (gate.Tick() != TerminationReason::kCompleted) break;
+          RankExpr expr = RankExpr::Column(c);
+          if (!already_have(expr)) emit(score_rows(rows, expr));
         }
-        for (size_t ci = 0; ci < measures.size(); ++ci) {
-          const Column& col = slice.column(measures[ci]);
-          std::vector<double>& v = vals[ci];
-          std::vector<double>& s = col_sums[ci];
-          for (size_t ri = 0; ri < n_rows; ++ri) {
-            double x = col.NumericAt(rows[ri]);
-            v[ri] = x;
-            s[row_e[ri]] += x;
+        continue;
+      }
+      const EntityRows* b = entity_rows(g);
+      if (stage.two_column) {
+        // Materialize the tuple set column-wise once, entity by entity:
+        // each entity's values are contiguous, per-entity sums come out
+        // of the same pass, and sum(A+B) pairs then combine sums in O(1)
+        // per entity without touching the rows. sum(A*B) pairs scan an
+        // entity's materialized values (products do not decompose).
+        std::vector<std::vector<double>> vals;
+        std::vector<std::vector<double>> col_sums;
+        if (b != nullptr) {
+          vals.assign(measures.size(), std::vector<double>(b->rows.size()));
+          col_sums.assign(measures.size(),
+                          std::vector<double>(static_cast<size_t>(m)));
+          for (size_t ci = 0; ci < measures.size(); ++ci) {
+            const Column& col = slice.column(measures[ci]);
+            std::vector<double>& v = vals[ci];
+            for (size_t e = 0; e < static_cast<size_t>(m); ++e) {
+              double s = 0.0;
+              for (uint32_t p = b->begin[e]; p < b->begin[e + 1]; ++p) {
+                v[p] = col.NumericAt(b->rows[p]);
+                s += v[p];
+              }
+              col_sums[ci][e] = s;
+            }
           }
         }
-        std::vector<double> per_entity(static_cast<size_t>(m));
         for (size_t i = 0; i < measures.size() && !gate.exhausted(); ++i) {
           for (size_t j = i + 1; j < measures.size(); ++j) {
             if (gate.Tick() != TerminationReason::kCompleted) break;
             if (options_.enable_sum_of_two) {
               RankExpr expr = RankExpr::Add(measures[i], measures[j]);
               if (!already_have(expr)) {
-                for (int e = 0; e < m; ++e) {
-                  size_t eu = static_cast<size_t>(e);
-                  per_entity[eu] =
-                      (col_sums[i][eu] + col_sums[j][eu]) * sum_scale[eu];
-                }
-                emit(score_entity_values(per_entity, counts, expr,
-                                         AggFn::kSum));
+                emit(score_grouped(b, expr, AggFn::kSum, [&](uint32_t e) {
+                  return (col_sums[i][e] + col_sums[j][e]) * sum_scale[e];
+                }));
               }
             }
             if (options_.enable_product_of_two) {
               RankExpr expr = RankExpr::Mul(measures[i], measures[j]);
               if (!already_have(expr)) {
-                std::fill(per_entity.begin(), per_entity.end(), 0.0);
-                const std::vector<double>& va = vals[i];
-                const std::vector<double>& vb = vals[j];
-                for (size_t ri = 0; ri < n_rows; ++ri) {
-                  per_entity[row_e[ri]] += va[ri] * vb[ri];
-                }
-                for (int e = 0; e < m; ++e) {
-                  per_entity[static_cast<size_t>(e)] *=
-                      sum_scale[static_cast<size_t>(e)];
-                }
-                emit(score_entity_values(per_entity, counts, expr,
-                                         AggFn::kSum));
+                emit(score_grouped(b, expr, AggFn::kSum, [&](uint32_t e) {
+                  const std::vector<double>& va = vals[i];
+                  const std::vector<double>& vb = vals[j];
+                  double s = 0.0;
+                  for (uint32_t p = b->begin[e]; p < b->begin[e + 1]; ++p) {
+                    s += va[p] * vb[p];
+                  }
+                  return s * sum_scale[e];
+                }));
               }
             }
           }
@@ -364,7 +457,17 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
         for (int c : columns) {
           if (gate.Tick() != TerminationReason::kCompleted) break;
           RankExpr expr = RankExpr::Column(c);
-          if (!already_have(expr)) emit(evaluate(rows, expr, stage.agg));
+          if (already_have(expr)) continue;
+          const Column& col = slice.column(c);
+          emit(score_grouped(b, expr, stage.agg, [&](uint32_t e) {
+            AggState st;
+            for (uint32_t p = b->begin[e]; p < b->begin[e + 1]; ++p) {
+              st.Add(col.NumericAt(b->rows[p]));
+            }
+            double v = st.Finish(stage.agg);
+            if (stage.agg == AggFn::kSum) v *= sum_scale[e];
+            return v;
+          }));
         }
       }
     }

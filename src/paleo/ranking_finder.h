@@ -60,9 +60,47 @@ struct RankingSearchInfo {
   int histogram_candidate_columns = 0;
   /// Criteria evaluations performed over R' tuple sets.
   int64_t tuple_set_evaluations = 0;
+  /// Of those, criteria dismissed without building their ranked list:
+  /// they failed the necessary condition for exactness (DESIGN.md §5).
+  int64_t early_rejects = 0;
   /// kCompleted when the Figure 4 walk finished; otherwise the search
   /// stopped early on a RunBudget and the rankings are partial.
   TerminationReason termination = TerminationReason::kCompleted;
+};
+
+/// \brief Necessary condition for a grouped criterion to be exact.
+///
+/// A grouped criterion ranks one entry per covered entity, so its list
+/// can be InstanceEquals to L only if |L| equals the number of distinct
+/// entities and every entity is covered. Each entity's aggregate then
+/// lies within three ValuesClose hops of its L value (DESIGN.md §5),
+/// which Admits tests with the tolerance padded to
+/// 4 * rel_eps * max(|a|, |b|, 1). Admits never rejects a value whose
+/// criterion could still be exact, so a rejected criterion needs no
+/// ranked list.
+class ExactnessCheck {
+ public:
+  /// `targets` holds L's value per distinct entity
+  /// (RPrime::entity_values()); `list_size` is |L|.
+  ExactnessCheck(const std::vector<double>& targets, size_t list_size,
+                 double rel_eps);
+
+  /// False when no grouped criterion can be exact (L repeats an
+  /// entity).
+  bool list_fits() const { return list_fits_; }
+
+  /// False when entity `e`'s aggregate `v` rules the criterion out. A
+  /// NaN aggregate never matches. The value bound needs every aggregate
+  /// of the criterion to be finite, which the caller asserts with
+  /// `finite_aggregates`; without it only the NaN rule applies.
+  bool Admits(size_t e, double v, bool finite_aggregates) const;
+
+ private:
+  std::vector<double> targets_;
+  bool list_fits_;
+  /// The value bound holds: every target is finite and rel_eps <= 1/8.
+  bool bounds_values_;
+  double pad_;
 };
 
 /// \brief Figure 4 search driver.

@@ -32,6 +32,7 @@ TEST(ExplainTest, RendersFoundReport) {
   EXPECT_NE(text.find("Step 1"), std::string::npos);
   EXPECT_NE(text.find("candidate predicates:"), std::string::npos);
   EXPECT_NE(text.find("Step 2"), std::string::npos);
+  EXPECT_NE(text.find("early rejects:"), std::string::npos);
   EXPECT_NE(text.find("Step 3"), std::string::npos);
   EXPECT_NE(text.find("valid quer"), std::string::npos);
   EXPECT_NE(text.find("max(minutes)"), std::string::npos);

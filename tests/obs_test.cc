@@ -346,6 +346,43 @@ TEST(MetricsRegistryTest, ConcurrentRegisterVsScrape) {
             std::string::npos);
 }
 
+TEST(SharedMutexTest, WaitingWriterBarsNewReaders) {
+  // Two readers pass the shared side back and forth: each releases only
+  // once the other holds it again (or after 50 ms), so the lock is never
+  // free. A reader-preferring lock parks the writer for as long as that
+  // goes on, which is the registry's register-vs-scrape starvation. A
+  // writer-preferring one bars the re-entering reader, the handover
+  // times out, and the writer gets in.
+  using Clock = std::chrono::steady_clock;
+  SharedMutex mu;
+  std::atomic<bool> in[2] = {false, false};
+  std::atomic<bool> writer_done{false};
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(5);
+  auto reader = [&](int self) {
+    while (!writer_done.load() && Clock::now() < give_up) {
+      ReaderMutexLock lock(mu);
+      in[self].store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      const Clock::time_point handover =
+          Clock::now() + std::chrono::milliseconds(50);
+      while (!in[1 - self].load() && Clock::now() < handover) {
+        std::this_thread::yield();
+      }
+      in[self].store(false);
+    }
+  };
+  std::thread a(reader, 0);
+  std::thread b(reader, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    WriterMutexLock lock(mu);
+    writer_done.store(true);
+  }
+  EXPECT_LT(Clock::now(), give_up);
+  a.join();
+  b.join();
+}
+
 // ------------------------------------------------------------------ trace
 
 TEST(TraceTest, BuildsSpanTree) {

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 
+#include "common/random.h"
 #include "datagen/traffic_gen.h"
 #include "paleo/predicate_miner.h"
 
@@ -320,6 +324,205 @@ TEST(PredicateMinerTest, InvalidOptionsRejected) {
   options.max_predicate_size = 0;
   EXPECT_TRUE(
       PredicateMiner(f.rprime, options).Mine().status().IsInvalidArgument());
+}
+
+
+// ---- Differential test against sorted-list level extension ----
+//
+// The reference rebuilds levels 2..max from sorted tuple sets instead
+// of the miner's row bitmaps: IntersectSorted, then the size and
+// coverage checks. It starts from the miner's own
+// level 1 (the atoms and range atoms) and groups identical tuple sets
+// in first-appearance order.
+MiningResult ReferenceMine(const RPrime& rp, const PaleoOptions& options,
+                           const MiningResult& mined) {
+  struct Entry {
+    Predicate predicate;
+    TupleSet rows;
+    int max_column;
+    int covered;
+  };
+  const int m = rp.num_entities();
+  const int required = std::max(
+      1, static_cast<int>(std::ceil(options.coverage_ratio * m)));
+  std::vector<uint64_t> scratch;
+  std::vector<std::vector<Entry>> levels(1);
+  for (const MinedPredicate& p : mined.predicates) {
+    if (p.predicate.size() != 1) continue;
+    const TupleSet& rows =
+        mined.groups[static_cast<size_t>(p.group_id)].rows;
+    levels[0].push_back(Entry{p.predicate, rows,
+                              p.predicate.atoms().front().column,
+                              p.covered_entities});
+  }
+  for (int size = 2; size <= options.max_predicate_size; ++size) {
+    std::vector<Entry> next;
+    for (const Entry& base : levels.back()) {
+      for (const Entry& atom : levels[0]) {
+        if (atom.max_column <= base.max_column) continue;
+        TupleSet rows = IntersectSorted(base.rows, atom.rows);
+        if (static_cast<int>(rows.size()) < required) continue;
+        int covered = CountCoveredEntities(rows, rp.row_entity(), m,
+                                           &scratch);
+        if (covered < required) continue;
+        auto extended = base.predicate.And(atom.predicate.atoms().front());
+        EXPECT_TRUE(extended.ok());
+        next.push_back(Entry{*std::move(extended), std::move(rows),
+                             atom.max_column, covered});
+      }
+    }
+    if (next.empty()) break;
+    levels.push_back(std::move(next));
+  }
+  if (options.include_empty_predicate) {
+    TupleSet all(rp.num_rows());
+    for (size_t r = 0; r < all.size(); ++r) all[r] = static_cast<RowId>(r);
+    int covered = CountCoveredEntities(all, rp.row_entity(), m, &scratch);
+    if (covered >= required) {
+      levels.push_back({Entry{Predicate(), std::move(all), -1, covered}});
+    }
+  }
+
+  MiningResult out;
+  out.predicates_by_size.assign(
+      static_cast<size_t>(options.max_predicate_size) + 1, 0);
+  std::map<TupleSet, int> group_of;
+  for (const std::vector<Entry>& level : levels) {
+    for (const Entry& entry : level) {
+      int pred_id = static_cast<int>(out.predicates.size());
+      size_t size = static_cast<size_t>(entry.predicate.size());
+      if (size < out.predicates_by_size.size()) {
+        ++out.predicates_by_size[size];
+      }
+      auto [it, inserted] = group_of.emplace(
+          entry.rows, static_cast<int>(out.groups.size()));
+      if (inserted) {
+        PredicateGroup group;
+        group.rows = entry.rows;
+        group.coverage.assign((static_cast<size_t>(m) + 63) / 64, 0);
+        for (RowId r : entry.rows) {
+          uint32_t e = rp.row_entity()[r];
+          group.coverage[e >> 6] |= uint64_t{1} << (e & 63);
+        }
+        group.covered_entities =
+            CountCoveredEntities(entry.rows, rp.row_entity(), m, &scratch);
+        out.groups.push_back(std::move(group));
+      }
+      out.groups[static_cast<size_t>(it->second)].predicate_ids.push_back(
+          pred_id);
+      MinedPredicate p;
+      p.predicate = entry.predicate;
+      p.group_id = it->second;
+      p.covered_entities = entry.covered;
+      out.predicates.push_back(std::move(p));
+    }
+  }
+  return out;
+}
+
+void ExpectSameMining(const MiningResult& got, const MiningResult& want,
+                      const Schema& schema) {
+  ASSERT_EQ(got.predicates.size(), want.predicates.size());
+  for (size_t i = 0; i < got.predicates.size(); ++i) {
+    const MinedPredicate& x = got.predicates[i];
+    const MinedPredicate& y = want.predicates[i];
+    EXPECT_TRUE(x.predicate == y.predicate)
+        << i << ": " << x.predicate.ToSql(schema) << " vs "
+        << y.predicate.ToSql(schema);
+    EXPECT_EQ(x.group_id, y.group_id) << x.predicate.ToSql(schema);
+    EXPECT_EQ(x.covered_entities, y.covered_entities)
+        << x.predicate.ToSql(schema);
+  }
+  ASSERT_EQ(got.groups.size(), want.groups.size());
+  for (size_t g = 0; g < got.groups.size(); ++g) {
+    EXPECT_EQ(got.groups[g].rows, want.groups[g].rows) << "group " << g;
+    EXPECT_EQ(got.groups[g].predicate_ids, want.groups[g].predicate_ids)
+        << "group " << g;
+    EXPECT_EQ(got.groups[g].covered_entities,
+              want.groups[g].covered_entities)
+        << "group " << g;
+    EXPECT_EQ(got.groups[g].coverage, want.groups[g].coverage)
+        << "group " << g;
+  }
+  EXPECT_EQ(got.predicates_by_size, want.predicates_by_size);
+  EXPECT_EQ(got.termination, TerminationReason::kCompleted);
+}
+
+// A relation whose R' has exactly `rows` rows: entities round-robin,
+// a dense and a sparse string dimension, and int and double dimensions
+// that range atoms can use.
+Table MinerTable(Rng& rng, size_t rows, int entities) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"dense", DataType::kString, FieldRole::kDimension},
+      {"sparse", DataType::kString, FieldRole::kDimension},
+      {"year", DataType::kInt64, FieldRole::kDimension},
+      {"rate", DataType::kDouble, FieldRole::kDimension},
+      {"v", DataType::kDouble, FieldRole::kMeasure},
+  });
+  EXPECT_TRUE(schema.ok());
+  Table table(*schema);
+  const uint64_t sparse_values = std::max<uint64_t>(1, rows / 3);
+  for (size_t r = 0; r < rows; ++r) {
+    EXPECT_TRUE(
+        table
+            .AppendRow(
+                {Value::String("e" + std::to_string(
+                                         r % static_cast<size_t>(entities))),
+                 Value::String(rng.Uniform(4) == 0 ? "x" : "y"),
+                 Value::String("s" +
+                               std::to_string(rng.Uniform(sparse_values))),
+                 Value::Int64(rng.UniformInt(1990, 1996)),
+                 Value::Double(static_cast<double>(rng.Uniform(20)) / 4.0),
+                 Value::Double(rng.UniformDouble(0.0, 10.0))})
+            .ok());
+  }
+  return table;
+}
+
+TEST(PredicateMinerDifferentialTest, MatchesSortedListExtension) {
+  Rng rng(4207);
+  int multi_atom = 0;
+  for (size_t rows : {0u, 1u, 63u, 64u, 65u, 130u, 3000u}) {
+    for (int entities : {1, 3, 17}) {
+      Table table = MinerTable(rng, rows, entities);
+      EntityIndex index = EntityIndex::Build(table);
+      TopKList list;
+      for (int e = 0; e < entities; ++e) {
+        list.Append("e" + std::to_string(e), 1.0);
+      }
+      // An entity R lacks keeps R' non-empty-listed at 0 rows.
+      if (rows == 0) list.Append("ghost", 1.0);
+      auto rp = RPrime::Build(table, index, list);
+      ASSERT_TRUE(rp.ok());
+      ASSERT_EQ(rp->num_rows(), rows);
+      for (int max_size : {1, 2, 3}) {
+        for (double ratio : {1.0, 0.5, 0.2}) {
+          for (bool ranges : {false, true}) {
+            PaleoOptions options;
+            options.max_predicate_size = max_size;
+            options.coverage_ratio = ratio;
+            options.mine_range_predicates = ranges;
+            options.include_empty_predicate = rows % 2 == 0;
+            SCOPED_TRACE("rows " + std::to_string(rows) + " entities " +
+                         std::to_string(entities) + " max_size " +
+                         std::to_string(max_size) + " ratio " +
+                         std::to_string(ratio) +
+                         (ranges ? " ranges" : ""));
+            auto got = PredicateMiner(*rp, options).Mine();
+            ASSERT_TRUE(got.ok());
+            ExpectSameMining(*got, ReferenceMine(*rp, options, *got),
+                             table.schema());
+            if (got->predicates_by_size.size() > 2) {
+              multi_atom += got->predicates_by_size[2];
+            }
+            if (HasFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_atom, 1000);
 }
 
 }  // namespace

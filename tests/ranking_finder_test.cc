@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "common/random.h"
 #include "datagen/traffic_gen.h"
 #include "engine/executor.h"
 #include "paleo/predicate_miner.h"
 #include "paleo/ranking_finder.h"
 #include "stats/catalog.h"
+#include "stats/distance.h"
 
 namespace paleo {
 namespace {
@@ -246,6 +253,606 @@ TEST(RankingFinderTest, EmptyGroupsYieldEmptyRankings) {
   auto rankings = finder.Find({}, PaperList(), true);
   ASSERT_TRUE(rankings.ok());
   EXPECT_TRUE(rankings->empty());
+}
+
+// ---- Differential test against full scoring ----
+//
+// The reference below scores every criterion in full, with no early
+// rejection: a row-order aggregation loop, a full sort with the
+// entity-name tie-break, TopKList::InstanceEquals and NormalizedL1. It
+// walks Figure 4 without a catalog (R' fallback only), so its plan
+// needs no statistics.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+struct Reference {
+  const RPrime& rp;
+  const PaleoOptions& options;
+  const TopKList& input;
+  bool complete;
+  bool ascending = false;
+  std::vector<double> sum_scale;
+  /// Exact grouped criteria seen (each one checked for soundness).
+  int exact_seen = 0;
+
+  Reference(const RPrime& rp_in, const PaleoOptions& options_in,
+            const TopKList& input_in, bool complete_in)
+      : rp(rp_in), options(options_in), input(input_in),
+        complete(complete_in) {
+    std::vector<double> v = input.Values();
+    ascending = std::is_sorted(v.begin(), v.end()) &&
+                !std::is_sorted(v.rbegin(), v.rend());
+    sum_scale.assign(static_cast<size_t>(rp.num_entities()), 1.0);
+    if (!complete) {
+      for (size_t e = 0; e < sum_scale.size(); ++e) {
+        int64_t seen = rp.entity_row_counts()[e];
+        int64_t total = rp.entity_total_counts()[e];
+        if (seen > 0 && total > seen) {
+          sum_scale[e] = static_cast<double>(total) / static_cast<double>(seen);
+        }
+      }
+    }
+  }
+
+  const std::string& Name(size_t e) const { return rp.entity_names()[e]; }
+
+  bool Grouped(const std::vector<double>& per_entity,
+               const std::vector<int64_t>& counts, const RankExpr& expr,
+               AggFn agg, RankingCandidate* cand) {
+    cand->expr = expr;
+    cand->agg = agg;
+    std::vector<std::pair<double, size_t>> ranked_entities;
+    for (size_t e = 0; e < per_entity.size(); ++e) {
+      if (counts[e] > 0) ranked_entities.emplace_back(per_entity[e], e);
+    }
+    std::sort(ranked_entities.begin(), ranked_entities.end(),
+              [&](const auto& a, const auto& b) {
+                if (a.first != b.first)
+                  return ascending ? a.first < b.first : a.first > b.first;
+                return Name(a.second) < Name(b.second);
+              });
+    TopKList ranked;
+    for (const auto& [v, e] : ranked_entities) ranked.Append(Name(e), v);
+    cand->exact = ranked.InstanceEquals(input, options.rel_eps);
+    cand->distance = NormalizedL1(per_entity, rp.entity_values());
+    if (cand->exact) {
+      // Soundness of the necessary condition: it admits every exact
+      // criterion, with and without the finite-aggregate bound.
+      ++exact_seen;
+      ExactnessCheck check(rp.entity_values(), input.size(), options.rel_eps);
+      EXPECT_TRUE(check.list_fits());
+      bool finite = true;
+      for (const auto& [v, e] : ranked_entities) finite &= std::isfinite(v);
+      for (const auto& [v, e] : ranked_entities) {
+        EXPECT_TRUE(check.Admits(e, v, /*finite_aggregates=*/false));
+        if (finite) {
+          EXPECT_TRUE(check.Admits(e, v, /*finite_aggregates=*/true))
+              << "value " << v << " target " << rp.entity_values()[e];
+        }
+      }
+    }
+    return complete ? cand->exact : true;
+  }
+
+  bool Rows(const TupleSet& rows, const RankExpr& expr,
+            RankingCandidate* cand) const {
+    const Table& slice = rp.table();
+    const auto& row_entity = rp.row_entity();
+    cand->expr = expr;
+    cand->agg = AggFn::kNone;
+    std::vector<std::pair<double, RowId>> scored;
+    for (RowId r : rows) scored.emplace_back(expr.Eval(slice, r), r);
+    std::sort(scored.begin(), scored.end(), [&](const auto& a,
+                                                const auto& b) {
+      if (a.first != b.first)
+        return ascending ? a.first < b.first : a.first > b.first;
+      const std::string& na = Name(row_entity[a.second]);
+      const std::string& nb = Name(row_entity[b.second]);
+      if (na != nb) return na < nb;
+      return a.second < b.second;
+    });
+    if (scored.size() > input.size()) scored.resize(input.size());
+    TopKList ranked;
+    for (const auto& [v, r] : scored) ranked.Append(Name(row_entity[r]), v);
+    cand->exact = ranked.InstanceEquals(input, options.rel_eps);
+    double value_distance = NormalizedL1(ranked.Values(), input.Values());
+    double rank_distance =
+        NormalizedFootrule(ranked.Entities(), input.Entities());
+    cand->distance = (value_distance + rank_distance) / 2.0;
+    return complete ? cand->exact : true;
+  }
+
+  /// One Figure 4 stage over one group; returns whether it produced an
+  /// exact criterion.
+  bool Stage(const TupleSet& rows, AggFn agg, bool two_column,
+             GroupRanking* out) {
+    const Table& slice = rp.table();
+    const auto& row_entity = rp.row_entity();
+    const std::vector<int>& measures = slice.schema().measure_indices();
+    const size_t m = static_cast<size_t>(rp.num_entities());
+    bool any_exact = false;
+    auto emit = [&](bool keep, RankingCandidate cand) {
+      if (!keep) return;
+      any_exact |= cand.exact;
+      out->candidates.push_back(std::move(cand));
+    };
+    auto already_have = [&](const RankExpr& expr) {
+      for (const RankingCandidate& c : out->candidates) {
+        if (c.expr == expr && c.agg == agg) return true;
+      }
+      return false;
+    };
+    if (two_column) {
+      std::vector<int64_t> counts(m, 0);
+      for (RowId r : rows) ++counts[row_entity[r]];
+      std::vector<std::vector<double>> col_sums(measures.size(),
+                                                std::vector<double>(m));
+      for (size_t ci = 0; ci < measures.size(); ++ci) {
+        for (RowId r : rows) {
+          col_sums[ci][row_entity[r]] +=
+              slice.column(measures[ci]).NumericAt(r);
+        }
+      }
+      for (size_t i = 0; i < measures.size(); ++i) {
+        for (size_t j = i + 1; j < measures.size(); ++j) {
+          if (options.enable_sum_of_two) {
+            RankExpr expr = RankExpr::Add(measures[i], measures[j]);
+            if (!already_have(expr)) {
+              std::vector<double> per_entity(m);
+              for (size_t e = 0; e < m; ++e) {
+                per_entity[e] =
+                    (col_sums[i][e] + col_sums[j][e]) * sum_scale[e];
+              }
+              RankingCandidate cand;
+              bool keep = Grouped(per_entity, counts, expr, AggFn::kSum,
+                                  &cand);
+              emit(keep, std::move(cand));
+            }
+          }
+          if (options.enable_product_of_two) {
+            RankExpr expr = RankExpr::Mul(measures[i], measures[j]);
+            if (!already_have(expr)) {
+              std::vector<double> per_entity(m, 0.0);
+              for (RowId r : rows) {
+                per_entity[row_entity[r]] +=
+                    slice.column(measures[i]).NumericAt(r) *
+                    slice.column(measures[j]).NumericAt(r);
+              }
+              for (size_t e = 0; e < m; ++e) per_entity[e] *= sum_scale[e];
+              RankingCandidate cand;
+              bool keep = Grouped(per_entity, counts, expr, AggFn::kSum,
+                                  &cand);
+              emit(keep, std::move(cand));
+            }
+          }
+        }
+      }
+      return any_exact;
+    }
+    for (int c : measures) {
+      RankExpr expr = RankExpr::Column(c);
+      if (already_have(expr)) continue;
+      RankingCandidate cand;
+      if (agg == AggFn::kNone) {
+        bool keep = Rows(rows, expr, &cand);
+        emit(keep, std::move(cand));
+        continue;
+      }
+      std::vector<AggState> states(m);
+      for (RowId r : rows) states[row_entity[r]].Add(expr.Eval(slice, r));
+      std::vector<double> per_entity(m, 0.0);
+      std::vector<int64_t> counts(m, 0);
+      for (size_t e = 0; e < m; ++e) {
+        counts[e] = states[e].count;
+        if (states[e].count == 0) continue;
+        double v = states[e].Finish(agg);
+        if (agg == AggFn::kSum) v *= sum_scale[e];
+        per_entity[e] = v;
+      }
+      bool keep = Grouped(per_entity, counts, expr, agg, &cand);
+      emit(keep, std::move(cand));
+    }
+    return any_exact;
+  }
+
+  std::vector<GroupRanking> Find(const std::vector<PredicateGroup>& groups,
+                                 bool exhaustive) {
+    std::vector<GroupRanking> out(groups.size());
+    for (size_t g = 0; g < groups.size(); ++g) {
+      out[g].group_id = static_cast<int>(g);
+    }
+    std::vector<AggFn> aggs = options.single_column_aggs;
+    if (options.enable_min_count) {
+      aggs.push_back(AggFn::kMin);
+      aggs.push_back(AggFn::kCount);
+    }
+    bool two_pending =
+        options.enable_sum_of_two || options.enable_product_of_two;
+    std::vector<std::pair<AggFn, bool>> plan;
+    for (AggFn agg : aggs) {
+      if (agg == AggFn::kNone && two_pending) {
+        plan.emplace_back(AggFn::kSum, true);
+        two_pending = false;
+      }
+      plan.emplace_back(agg, false);
+    }
+    if (two_pending) plan.emplace_back(AggFn::kSum, true);
+    for (const auto& [agg, two_column] : plan) {
+      bool any_exact = false;
+      for (size_t g = 0; g < groups.size(); ++g) {
+        any_exact |= Stage(groups[g].rows, agg, two_column, &out[g]);
+      }
+      if (complete && !exhaustive && any_exact) break;
+    }
+    if (!complete && options.max_criteria_per_group > 0) {
+      size_t cap = static_cast<size_t>(options.max_criteria_per_group);
+      for (GroupRanking& gr : out) {
+        if (gr.candidates.size() <= cap) continue;
+        std::stable_sort(gr.candidates.begin(), gr.candidates.end(),
+                         [](const RankingCandidate& a,
+                            const RankingCandidate& b) {
+                           return a.distance < b.distance;
+                         });
+        gr.candidates.resize(cap);
+      }
+    }
+    return out;
+  }
+};
+
+// Tiny random relations: a handful of entities with 0-6 rows each, one
+// dimension, three double measures and one int measure. Values come
+// from a few magnitudes, each nudged by 0-3 rel_eps so that entity
+// aggregates form tie runs whose members sit 1-3 rel_eps apart.
+Schema DiffSchema() {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"d", DataType::kString, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+      {"y", DataType::kDouble, FieldRole::kMeasure},
+      {"z", DataType::kDouble, FieldRole::kMeasure},
+      {"n", DataType::kInt64, FieldRole::kMeasure},
+  });
+  EXPECT_TRUE(schema.ok());
+  return *schema;
+}
+
+double RandomMeasure(Rng& rng, double rel_eps, bool specials,
+                     size_t palette) {
+  if (specials && rng.Uniform(12) == 0) {
+    switch (rng.Uniform(3)) {
+      case 0:
+        return std::numeric_limits<double>::quiet_NaN();
+      case 1:
+        return std::numeric_limits<double>::infinity();
+      default:
+        return -std::numeric_limits<double>::infinity();
+    }
+  }
+  static const double kBases[] = {1e6, 7.0, 0.5, -4.0, 250.0, 0.0, 1.0,
+                                  3.0};
+  double base = kBases[rng.Uniform(palette)];
+  double nudge = static_cast<double>(rng.Uniform(4)) * rel_eps;
+  return base + nudge * std::max(std::abs(base), 1.0);
+}
+
+struct DiffCase {
+  Table table;
+  EntityIndex index;
+  std::vector<RowId> sample;
+  TopKList list;
+  std::vector<PredicateGroup> groups;
+};
+
+// Builds one case. L comes from a real criterion over a random group,
+// ranked DESC or ASC, then possibly perturbed: one value nudged to just
+// inside, exactly at or beyond the padded tolerance, two entities
+// swapped, an entity duplicated, or an entity added that R lacks.
+DiffCase MakeCase(Rng& rng, double rel_eps) {
+  Table table(DiffSchema());
+  const bool specials = rng.Uniform(3) == 0;
+  // Few distinct magnitudes make entity aggregates tie more often.
+  const size_t palette = rng.Uniform(2) ? 2 : 8;
+  const int num_entities = static_cast<int>(rng.UniformInt(1, 7));
+  for (int e = 0; e < num_entities; ++e) {
+    int rows =
+        rng.Uniform(10) == 0 ? 0 : static_cast<int>(rng.UniformInt(1, 6));
+    for (int r = 0; r < rows; ++r) {
+      std::vector<Value> row = {Value::String("e" + std::to_string(e)),
+                                Value::String(rng.Uniform(2) ? "p" : "q")};
+      for (int c = 0; c < 3; ++c) {
+        row.push_back(
+            Value::Double(RandomMeasure(rng, rel_eps, specials, palette)));
+      }
+      row.push_back(Value::Int64(rng.UniformInt(-3, 3)));
+      EXPECT_TRUE(table.AppendRow(row).ok());
+    }
+  }
+  EntityIndex index = EntityIndex::Build(table);
+  DiffCase dc{std::move(table), std::move(index), {}, {}, {}};
+  const bool sampled = rng.Uniform(3) == 0;
+  for (size_t r = 0; r < dc.table.num_rows(); ++r) {
+    if (!sampled || rng.Uniform(3) != 0) {
+      dc.sample.push_back(static_cast<RowId>(r));
+    }
+  }
+
+  // The entity set of L: every entity, plus sometimes one R lacks.
+  std::vector<std::string> names;
+  for (int e = 0; e < num_entities; ++e) {
+    names.push_back("e" + std::to_string(e));
+  }
+  if (rng.Uniform(6) == 0) names.push_back("ghost");
+  TopKList provisional;
+  for (const std::string& n : names) provisional.Append(n, 0.0);
+  auto rp0 = RPrime::Build(dc.table, dc.index, provisional, &dc.sample);
+  EXPECT_TRUE(rp0.ok());
+
+  // Groups: the whole slice plus random subsets (some leave entities
+  // uncovered).
+  const size_t n = rp0->num_rows();
+  int num_groups = static_cast<int>(rng.UniformInt(1, 4));
+  for (int g = 0; g < num_groups; ++g) {
+    PredicateGroup group;
+    uint64_t keep_of_4 = g == 0 ? 4 : rng.UniformInt(1, 3);
+    for (size_t r = 0; r < n; ++r) {
+      if (rng.Uniform(4) < keep_of_4) {
+        group.rows.push_back(static_cast<RowId>(r));
+      }
+    }
+    dc.groups.push_back(std::move(group));
+  }
+
+  // L's values from a real criterion over one group.
+  const Table& slice = rp0->table();
+  const std::vector<int>& measures = slice.schema().measure_indices();
+  const TupleSet& rows =
+      dc.groups[rng.Uniform(2) ? 0 : rng.Uniform(dc.groups.size())].rows;
+  static const AggFn kAggs[] = {AggFn::kMax, AggFn::kMin, AggFn::kSum,
+                                AggFn::kAvg, AggFn::kCount};
+  AggFn agg = kAggs[rng.Uniform(5)];
+  int a = measures[rng.Uniform(measures.size())];
+  int b = measures[rng.Uniform(measures.size())];
+  RankExpr expr = a == b ? RankExpr::Column(a)
+                  : rng.Uniform(2) ? RankExpr::Add(a, b)
+                                   : RankExpr::Mul(a, b);
+  if (!expr.is_single_column()) agg = AggFn::kSum;
+  std::vector<AggState> states(names.size());
+  for (RowId r : rows) {
+    states[rp0->row_entity()[r]].Add(expr.Eval(slice, r));
+  }
+  std::vector<std::pair<double, std::string>> entries;
+  for (size_t e = 0; e < names.size(); ++e) {
+    double v = states[e].count > 0
+                   ? states[e].Finish(agg)
+                   : RandomMeasure(rng, rel_eps, false, palette);
+    entries.emplace_back(v, names[e]);
+  }
+  const bool ascending = rng.Uniform(4) == 0;
+  std::sort(entries.begin(), entries.end(), [&](const auto& x,
+                                                const auto& y) {
+    if (x.first != y.first) {
+      return ascending ? x.first < y.first : x.first > y.first;
+    }
+    return x.second < y.second;
+  });
+
+  switch (rng.Uniform(8)) {
+    case 0: {  // nudge one value around the padded tolerance
+      static const double kSteps[] = {1.0, 3.0, 3.99, 4.0, 4.01, 5.0, 40.0};
+      double& v = entries[rng.Uniform(entries.size())].first;
+      double step = kSteps[rng.Uniform(7)] * rel_eps;
+      v += (rng.Uniform(2) ? step : -step) * std::max(std::abs(v), 1.0);
+      break;
+    }
+    case 1:  // swap two entities
+      if (entries.size() >= 2) {
+        std::swap(entries[0].second, entries[1 + rng.Uniform(
+                                                      entries.size() - 1)]
+                                         .second);
+      }
+      break;
+    case 2:  // duplicate an entity
+      entries.push_back(entries[rng.Uniform(entries.size())]);
+      break;
+    case 3: {  // move each tie run: its head by up to 0.9 rel_eps, each
+               // member by up to 0.9 rel_eps from the new head. The list
+               // stays exact while entities land up to ~2.8 rel_eps
+               // from their aggregates (three hops).
+      size_t i = 0;
+      while (i < entries.size()) {
+        size_t j = i + 1;
+        while (j < entries.size() &&
+               ValuesClose(entries[j].first, entries[i].first, rel_eps)) {
+          ++j;
+        }
+        const double head = entries[i].first;
+        if (std::isfinite(head)) {
+          const double unit = rel_eps * std::max(std::abs(head), 1.0);
+          const double moved = head + rng.UniformDouble(-0.9, 0.9) * unit;
+          for (size_t p = i; p < j; ++p) {
+            entries[p].first =
+                moved + (p == i ? 0.0 : rng.UniformDouble(-0.9, 0.9) * unit);
+          }
+        }
+        i = j;
+      }
+      break;
+    }
+    case 4: {  // collapse L onto one finite value: every criterion with
+               // an infinite head ties all its entities with it
+      double c = std::isfinite(entries[0].first) ? entries[0].first : 1.0;
+      for (auto& [v, name] : entries) v = c;
+      break;
+    }
+    default:
+      break;
+  }
+  for (const auto& [v, name] : entries) dc.list.Append(name, v);
+  return dc;
+}
+
+void ExpectSameRankings(const std::vector<GroupRanking>& got,
+                        const std::vector<GroupRanking>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t g = 0; g < got.size(); ++g) {
+    EXPECT_EQ(got[g].group_id, want[g].group_id);
+    ASSERT_EQ(got[g].candidates.size(), want[g].candidates.size())
+        << "group " << g;
+    for (size_t c = 0; c < got[g].candidates.size(); ++c) {
+      const RankingCandidate& x = got[g].candidates[c];
+      const RankingCandidate& y = want[g].candidates[c];
+      EXPECT_TRUE(x.expr == y.expr) << "group " << g << " candidate " << c;
+      EXPECT_EQ(x.agg, y.agg) << "group " << g << " candidate " << c;
+      EXPECT_EQ(x.exact, y.exact) << "group " << g << " candidate " << c;
+      EXPECT_TRUE(SameBits(x.distance, y.distance))
+          << "group " << g << " candidate " << c << ": " << x.distance
+          << " vs " << y.distance;
+    }
+  }
+}
+
+TEST(RankingFinderDifferentialTest, MatchesFullScoringOnRandomRelations) {
+  Rng rng(20161);
+  int exact_seen = 0;
+  int64_t early_rejects = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const double rel_eps = iter % 2 == 0 ? 1e-9 : 1e-6;
+    DiffCase dc = MakeCase(rng, rel_eps);
+    auto rp = RPrime::Build(dc.table, dc.index, dc.list, &dc.sample);
+    ASSERT_TRUE(rp.ok());
+    PaleoOptions options;
+    options.rel_eps = rel_eps;
+    options.enable_min_count = true;
+    options.max_criteria_per_group = iter % 3 == 0 ? 0 : 16;
+    for (bool complete : {true, false}) {
+      for (bool exhaustive : {false, true}) {
+        SCOPED_TRACE("iter " + std::to_string(iter) +
+                     (complete ? " complete" : " scored") +
+                     (exhaustive ? " exhaustive" : "") + "\n" +
+                     dc.list.ToString());
+        RankingFinder finder(*rp, nullptr, options);
+        RankingSearchInfo info;
+        auto got = finder.Find(dc.groups, dc.list, complete, &info,
+                               exhaustive);
+        ASSERT_TRUE(got.ok());
+        Reference ref(*rp, options, dc.list, complete);
+        ExpectSameRankings(*got, ref.Find(dc.groups, exhaustive));
+        EXPECT_LE(info.early_rejects, info.tuple_set_evaluations);
+        exact_seen += ref.exact_seen;
+        early_rejects += info.early_rejects;
+      }
+    }
+    if (HasFailure()) break;
+  }
+  // The generator must reach both sides of the condition.
+  EXPECT_GT(exact_seen, 100);
+  EXPECT_GT(early_rejects, 1000);
+}
+
+TEST(ExactnessCheckTest, PaddedToleranceEdges) {
+  const double eps = 1e-6;
+  ExactnessCheck check({1000.0, 0.25}, 2, eps);
+  ASSERT_TRUE(check.list_fits());
+  EXPECT_TRUE(check.Admits(0, 1000.0, true));
+  EXPECT_TRUE(check.Admits(0, 1000.0 * (1 + 3.9 * eps), true));
+  EXPECT_TRUE(check.Admits(0, 1000.0 * (1 - 3.9 * eps), true));
+  EXPECT_FALSE(check.Admits(0, 1000.0 * (1 + 4.1 * eps), true));
+  // Near zero the tolerance is absolute: 4 * eps.
+  EXPECT_TRUE(check.Admits(1, 0.25 + 3.9 * eps, true));
+  EXPECT_FALSE(check.Admits(1, 0.25 + 4.1 * eps, true));
+  // Without the finite-aggregate guarantee only NaN is rejected.
+  EXPECT_TRUE(check.Admits(0, 5.0, false));
+  EXPECT_FALSE(check.Admits(0, std::nan(""), false));
+  // A repeated entity in L: no grouped criterion can match.
+  EXPECT_FALSE(ExactnessCheck({1.0, 2.0}, 3, eps).list_fits());
+}
+
+TEST(ExactnessCheckTest, ThreeHopTieRunIsAdmitted) {
+  // Entity b sits 2.85 rel_eps from its L value, reached through the
+  // tie runs of both lists: b -> a (ranked head) -> a (L head) -> b.
+  const double eps = 1e-6;
+  TopKList ranked, input;
+  ranked.Append("a", 100.0);
+  ranked.Append("b", 100.0 * (1 - 0.95 * eps));
+  input.Append("a", 100.0 * (1 + 0.95 * eps));
+  input.Append("b", 100.0 * (1 + 1.9 * eps));
+  ASSERT_TRUE(ranked.InstanceEquals(input, eps));
+  ASSERT_FALSE(ValuesClose(ranked.entry(1).value, input.entry(1).value, eps));
+  ExactnessCheck check(input.Values(), 2, eps);
+  EXPECT_TRUE(check.Admits(0, ranked.entry(0).value, true));
+  EXPECT_TRUE(check.Admits(1, ranked.entry(1).value, true));
+}
+
+TEST(ExactnessCheckTest, InfiniteAggregateVoidsTheValueBound) {
+  // An infinite ranked head ties with anything, so b's finite aggregate
+  // far from its L value still matches. The bound must not be used.
+  TopKList ranked, input;
+  ranked.Append("a", std::numeric_limits<double>::infinity());
+  ranked.Append("b", 5.0);
+  input.Append("b", 1000.0);
+  input.Append("a", 1000.0);
+  ASSERT_TRUE(ranked.InstanceEquals(input, 1e-9));
+  ExactnessCheck check({1000.0, 1000.0}, 2, 1e-9);
+  EXPECT_TRUE(check.Admits(0, 5.0, /*finite_aggregates=*/false));
+  EXPECT_FALSE(check.Admits(0, 5.0, /*finite_aggregates=*/true));
+}
+
+TEST(RankingFinderTest, ExactModeRejectsEarlyOnWideRelations) {
+  // Twelve measure columns: most criteria miss on their first entity.
+  std::vector<Field> fields = {{"e", DataType::kString, FieldRole::kEntity},
+                               {"d", DataType::kString, FieldRole::kDimension}};
+  for (int c = 0; c < 12; ++c) {
+    fields.push_back({"m" + std::to_string(c), DataType::kDouble,
+                      FieldRole::kMeasure});
+  }
+  auto schema = Schema::Make(fields);
+  ASSERT_TRUE(schema.ok());
+  Table table(*schema);
+  Rng rng(7);
+  for (int e = 0; e < 8; ++e) {
+    for (int r = 0; r < 20; ++r) {
+      std::vector<Value> row = {Value::String("e" + std::to_string(e)),
+                                Value::String(r % 2 ? "p" : "q")};
+      for (int c = 0; c < 12; ++c) {
+        row.push_back(Value::Double(rng.UniformDouble(0.0, 1000.0)));
+      }
+      ASSERT_TRUE(table.AppendRow(row).ok());
+    }
+  }
+  Executor ex;
+  TopKQuery q;
+  q.predicate = Predicate::Atom(schema->FieldIndex("d"), Value::String("p"));
+  q.expr = RankExpr::Add(schema->FieldIndex("m3"), schema->FieldIndex("m7"));
+  q.agg = AggFn::kSum;
+  q.k = 8;
+  auto list = ex.Execute(table, q, ExecContext{});
+  ASSERT_TRUE(list.ok());
+  EntityIndex index = EntityIndex::Build(table);
+  auto rp = RPrime::Build(table, index, *list);
+  ASSERT_TRUE(rp.ok());
+  PaleoOptions options;
+  PredicateMiner miner(*rp, options);
+  auto mining = miner.Mine();
+  ASSERT_TRUE(mining.ok());
+  RankingFinder finder(*rp, nullptr, options);
+  RankingSearchInfo info;
+  auto rankings = finder.Find(mining->groups, *list, /*assume_complete=*/true,
+                              &info);
+  ASSERT_TRUE(rankings.ok());
+  bool found = false;
+  for (const GroupRanking& gr : *rankings) {
+    for (const RankingCandidate& c : gr.candidates) {
+      found |= c.exact && c.agg == AggFn::kSum && c.expr == q.expr;
+    }
+  }
+  EXPECT_TRUE(found);
+  EXPECT_GT(info.early_rejects, 0);
+  EXPECT_LE(info.early_rejects, info.tuple_set_evaluations);
+  // All but the true criterion and the row rankings are rejected early.
+  EXPECT_GT(info.early_rejects, info.tuple_set_evaluations / 2);
 }
 
 }  // namespace
