@@ -80,6 +80,8 @@ struct ChunkOutcome {
   bool completed = false;
   /// Rows visited by the consumption pass (rows_scanned accounting).
   size_t visited = 0;
+  /// Atom bitmaps built from dimension-index postings on a cache miss.
+  size_t posting_bitmaps = 0;
   size_t match_count = 0;              // kCount
   std::vector<HeapEntry> row_entries;  // kRows: scores at absolute rows
   std::vector<uint32_t> touched;       // kGroups: codes, first-touch order
@@ -94,17 +96,30 @@ struct ChunkScratch {
   std::vector<AggState> groups;
 };
 
+/// Sets the bits of the `posting` rows inside `ch`: O(log |posting| +
+/// posting rows in the chunk), independent of the chunk's size.
+void FillFromPosting(const std::vector<RowId>& posting, const Chunk& ch,
+                     SelectionBitmap* out) {
+  for (auto it = std::lower_bound(posting.begin(), posting.end(),
+                                  ch.begin_row);
+       it != posting.end() && *it < ch.end_row; ++it) {
+    out->Set(*it - ch.begin_row);
+  }
+}
+
 /// \brief Chunk-granular scan engine shared by Execute and
 /// CountMatching: everything invariant across the chunks of one full
 /// scan. Const after construction; ProcessChunk is called concurrently
 /// by morsel workers (per-worker gate/scratch/outcome, internally
-/// synchronized cache).
+/// synchronized cache). `index` (null when none covers `table`) is the
+/// source of equality-atom bitmaps on cache misses.
 class ChunkScanner {
  public:
   ChunkScanner(const Table& table, const TableView& view,
                const Predicate& predicate, const BoundPredicate& bound,
                ScanMode mode, const TopKQuery* query, bool vectorized,
-               bool zone_skip, AtomSelectionCache* cache)
+               bool zone_skip, AtomSelectionCache* cache,
+               const DimensionIndex* index)
       : table_(table),
         view_(view),
         predicate_(predicate),
@@ -116,7 +131,16 @@ class ChunkScanner {
         cache_(cache),
         epoch_(view.epoch()),
         entity_codes_(table.entity_column().codes().data()),
-        dict_size_(table.entity_column().dict()->size()) {}
+        dict_size_(table.entity_column().dict()->size()) {
+    // One posting per equality atom on an indexed column, resolved
+    // once per scan; null entries are evaluated by the kernels.
+    for (const AtomicPredicate& atom : predicate.atoms()) {
+      postings_.push_back(index != nullptr && !atom.is_range() &&
+                                  index->Indexes(atom.column)
+                              ? &index->Lookup(atom.column, atom.value)
+                              : nullptr);
+    }
+  }
 
   /// Scans chunk `chunk_index` into `out`. Returns false when the gate
   /// interrupted the scan; `out` is then partial and must be discarded
@@ -147,11 +171,13 @@ class ChunkScanner {
     return false;
   }
 
-  /// Resolves the conjunction's selection over the chunk via the
-  /// per-atom kernels, consulting the (epoch, chunk, atom) cache first.
-  /// Returns false when the budget interrupted (never caches partials).
+  /// Resolves the conjunction's selection over the chunk, one atom
+  /// bitmap at a time: from the (epoch, chunk, atom) cache, else from
+  /// the atom's posting, else from the selection kernels. Returns false
+  /// when the budget interrupted (never caches partials).
   bool BuildChunkSelection(size_t chunk_index, const Chunk& ch,
-                           BudgetGate* gate, SelectionBitmap* out) const {
+                           BudgetGate* gate, SelectionBitmap* out,
+                           size_t* posting_bitmaps) const {
     const size_t n = ch.num_rows();
     const std::vector<AtomicPredicate>& atoms = predicate_.atoms();
     const std::vector<BoundAtom>& bound_atoms = bound_.atoms();
@@ -168,8 +194,11 @@ class ChunkScanner {
       }
       if (bm == nullptr) {
         SelectionBitmap fresh(n);
-        if (!ComputeAtomSelectionRange(bound_atoms[i], ch.begin_row,
-                                       ch.end_row, &fresh, gate)) {
+        if (postings_[i] != nullptr) {
+          FillFromPosting(*postings_[i], ch, &fresh);
+          ++*posting_bitmaps;
+        } else if (!ComputeAtomSelectionRange(bound_atoms[i], ch.begin_row,
+                                              ch.end_row, &fresh, gate)) {
           return false;
         }
         bm = cache_ != nullptr
@@ -209,7 +238,10 @@ class ChunkScanner {
   bool ScanVectorized(size_t chunk_index, const Chunk& ch, BudgetGate* gate,
                       ChunkScratch* scratch, ChunkOutcome* out) const {
     SelectionBitmap sel;
-    if (!BuildChunkSelection(chunk_index, ch, gate, &sel)) return false;
+    if (!BuildChunkSelection(chunk_index, ch, gate, &sel,
+                             &out->posting_bitmaps)) {
+      return false;
+    }
     switch (mode_) {
       case ScanMode::kCount:
         out->match_count = sel.CountSet();
@@ -290,6 +322,7 @@ class ChunkScanner {
   const uint64_t epoch_;
   const uint32_t* entity_codes_;
   const size_t dict_size_;
+  std::vector<const std::vector<RowId>*> postings_;  // parallel to atoms
 };
 
 /// Runs the scanner over every chunk — on the calling thread, or as
@@ -353,6 +386,44 @@ TerminationReason RunChunkScan(const ChunkScanner& scanner, size_t num_chunks,
   return reason.load(std::memory_order_relaxed);
 }
 
+/// Morsel workers for a scan of `num_chunks` chunks under `ctx`.
+int ScanWorkers(const ExecContext& ctx, size_t num_chunks) {
+  if (ctx.pool == nullptr || ctx.scan_threads <= 1 || num_chunks <= 1) {
+    return 1;
+  }
+  return static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(ctx.scan_threads), num_chunks));
+}
+
+/// Adds a finished chunk scan's skip, morsel and posting tallies to
+/// `stats` / `metrics`; returns the rows it visited.
+size_t AccountChunkScan(const std::vector<ChunkOutcome>& outcomes,
+                        int workers, Executor::Stats* stats,
+                        const Executor::MetricHandles& metrics) {
+  size_t visited = 0;
+  int64_t skipped = 0;
+  int64_t morsels = 0;
+  int64_t posting_bitmaps = 0;
+  for (const ChunkOutcome& o : outcomes) {
+    visited += o.visited;
+    posting_bitmaps += static_cast<int64_t>(o.posting_bitmaps);
+    if (o.skipped) {
+      ++skipped;
+    } else if (o.completed) {
+      ++morsels;
+    }
+  }
+  // relaxed: Stats counters are pure tallies (see Stats doc).
+  stats->chunks_skipped.fetch_add(skipped, std::memory_order_relaxed);
+  stats->morsels.fetch_add(morsels, std::memory_order_relaxed);
+  stats->posting_bitmaps.fetch_add(posting_bitmaps,
+                                   std::memory_order_relaxed);
+  obs::Inc(metrics.chunks_skipped, skipped);
+  obs::Inc(metrics.morsels, morsels);
+  obs::Observe(metrics.scan_parallelism, static_cast<double>(workers));
+  return visited;
+}
+
 }  // namespace
 
 StatusOr<TopKList> Executor::Execute(const Table& table,
@@ -370,44 +441,22 @@ StatusOr<TopKList> Executor::ExecuteOnRows(const Table& table,
 
 size_t Executor::CountMatching(const Table& table, const Predicate& predicate,
                                const ExecContext& ctx) {
-  if (dimension_index_ != nullptr && indexed_table_ == &table &&
-      !predicate.IsTrue() && dimension_index_->Covers(predicate)) {
-    return dimension_index_->Match(predicate).size();
-  }
   BoundPredicate bound(predicate, table);
   TableView view(table);
   const size_t num_chunks = view.num_chunks();
   ChunkScanner scanner(table, view, predicate, bound, ScanMode::kCount,
-                       nullptr, vectorized_, ctx.zone_map_skipping,
-                       ctx.cache);
-  int workers = 1;
-  if (ctx.pool != nullptr && ctx.scan_threads > 1 && num_chunks > 1) {
-    workers = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(ctx.scan_threads), num_chunks));
-  }
+                       nullptr, vectorized_, ctx.zone_map_skipping, ctx.cache,
+                       IndexFor(table));
+  const int workers = ScanWorkers(ctx, num_chunks);
   std::vector<ChunkOutcome> outcomes(num_chunks);
   // A count cannot be partially returned, so CountMatching ignores
   // ctx.budget (as the positional API always did): the gate never trips.
   RunChunkScan(scanner, num_chunks, nullptr,
                vectorized_ ? kVectorGateStride : kScalarGateStride,
                workers > 1 ? ctx.pool : nullptr, workers, nullptr, &outcomes);
+  AccountChunkScan(outcomes, workers, &stats_, metrics_);
   size_t count = 0;
-  int64_t skipped = 0;
-  int64_t morsels = 0;
-  for (const ChunkOutcome& o : outcomes) {
-    count += o.match_count;
-    if (o.skipped) {
-      ++skipped;
-    } else if (o.completed) {
-      ++morsels;
-    }
-  }
-  // relaxed: Stats counters are pure tallies (see Stats doc).
-  stats_.chunks_skipped.fetch_add(skipped, std::memory_order_relaxed);
-  stats_.morsels.fetch_add(morsels, std::memory_order_relaxed);
-  obs::Inc(metrics_.chunks_skipped, skipped);
-  obs::Inc(metrics_.morsels, morsels);
-  obs::Observe(metrics_.scan_parallelism, static_cast<double>(workers));
+  for (const ChunkOutcome& o : outcomes) count += o.match_count;
   return count;
 }
 
@@ -430,17 +479,11 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
   const StringDictionary& dict = *entities.dict();
   const bool desc = query.order == SortOrder::kDesc;
 
-  // Index-assisted path: a fully covered conjunction over the indexed
-  // base table resolves to its matching rows via posting intersection,
-  // skipping the scan and the per-row predicate checks.
-  std::vector<RowId> index_rows;
-  bool from_index = false;
-  if (rows == nullptr && dimension_index_ != nullptr &&
-      indexed_table_ == &table && !query.predicate.IsTrue() &&
-      dimension_index_->Covers(query.predicate)) {
-    index_rows = dimension_index_->Match(query.predicate);
-    rows = &index_rows;
-    from_index = true;
+  // Index-assisted: a full scan all of whose atom bitmaps can come from
+  // postings.
+  const DimensionIndex* index = rows == nullptr ? IndexFor(table) : nullptr;
+  if (index != nullptr && !query.predicate.IsTrue() &&
+      index->Covers(query.predicate)) {
     // relaxed: Stats counters are pure tallies (see Stats doc).
     stats_.index_assisted.fetch_add(1, std::memory_order_relaxed);
     obs::Inc(metrics_.index_assisted);
@@ -449,8 +492,7 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
   // Full scans take the vectorized chunk path: per-atom per-chunk
   // selection bitmaps (cache-shared across candidates), word-wise AND,
   // and bitmap-driven consumption. Row-restricted executions (R' tuple
-  // sets, index postings) stay scalar — their row lists are already the
-  // selection.
+  // sets) stay scalar — their row lists are already the selection.
   //
   // Degradation ladder: when the attached cache is under memory
   // pressure (its budget shrank to zero after allocation failures) or
@@ -489,12 +531,12 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
   // Phase 1 — scan. Produces either ranked row entries (kNone) or the
   // merged dense group aggregates, through one of two scan shapes:
   //
-  //  * Row-restricted (tuple sets, index postings): a scalar pass over
-  //    the row list in its own order, polled every few thousand rows.
+  //  * Row-restricted (R' tuple sets): a scalar pass over the row list
+  //    in its own order, polled every few thousand rows.
   //  * Full scan: chunk-canonical. Each chunk yields a partial outcome
   //    (possibly skipped via zone maps); partials merge in ascending
-  //    chunk order, so scalar / vectorized / morsel-parallel runs are
-  //    byte-identical by construction.
+  //    chunk order, so scalar / vectorized / morsel-parallel /
+  //    index-fed runs are byte-identical by construction.
   std::vector<HeapEntry> results;        // kNone entries
   std::vector<AggState> groups;          // merged dense group states
   std::vector<uint32_t> touched;         // codes in canonical order
@@ -517,9 +559,7 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
         break;
       }
       ++visited;
-      // Postings already satisfy the whole conjunction when the rows
-      // came from the index.
-      if (!from_index && !bound.Matches(r)) continue;
+      if (!bound.Matches(r)) continue;
       if (grouped) {
         const uint32_t code = entities.CodeAt(r);
         AggState& g = groups[code];
@@ -537,12 +577,9 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
     const ScanMode mode =
         query.agg == AggFn::kNone ? ScanMode::kRows : ScanMode::kGroups;
     ChunkScanner scanner(table, view, query.predicate, bound, mode, &query,
-                         use_vectorized, ctx.zone_map_skipping, ctx.cache);
-    int workers = 1;
-    if (ctx.pool != nullptr && ctx.scan_threads > 1 && num_chunks > 1) {
-      workers = static_cast<int>(
-          std::min<size_t>(static_cast<size_t>(ctx.scan_threads), num_chunks));
-    }
+                         use_vectorized, ctx.zone_map_skipping, ctx.cache,
+                         index);
+    const int workers = ScanWorkers(ctx, num_chunks);
     // Threshold pruning engages only on grouped multi-chunk full scans
     // whose shape matches the monitor's targets: single-chunk tables
     // have no "remaining chunks" to bound against, so the check could
@@ -561,24 +598,7 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
 
     // Accounting first (interrupted executions still report the rows
     // they visited, as the row-restricted path does).
-    size_t visited = 0;
-    int64_t skipped = 0;
-    int64_t morsels = 0;
-    for (const ChunkOutcome& o : outcomes) {
-      visited += o.visited;
-      if (o.skipped) {
-        ++skipped;
-      } else if (o.completed) {
-        ++morsels;
-      }
-    }
-    account_rows(visited);
-    // relaxed: Stats counters are pure tallies (see Stats doc).
-    stats_.chunks_skipped.fetch_add(skipped, std::memory_order_relaxed);
-    stats_.morsels.fetch_add(morsels, std::memory_order_relaxed);
-    obs::Inc(metrics_.chunks_skipped, skipped);
-    obs::Inc(metrics_.morsels, morsels);
-    obs::Observe(metrics_.scan_parallelism, static_cast<double>(workers));
+    account_rows(AccountChunkScan(outcomes, workers, &stats_, metrics_));
     if (scan_reason != TerminationReason::kCompleted) {
       // A budget interrupt outranks refutation: the wind-down contract
       // (Status::Cancelled, identical to the unpruned path) must not

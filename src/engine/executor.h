@@ -22,7 +22,10 @@
 //
 // With an AtomSelectionCache attached to the call, per-atom per-chunk
 // bitmaps are reused across the candidate queries of a validation run,
-// which share almost all of their atoms by construction.
+// which share almost all of their atoms by construction. With a
+// DimensionIndex attached, a cache-missing equality atom on an indexed
+// column builds its chunk bitmap from the posting rows inside the chunk
+// and caches it like any other: the index feeds the one chunk scan.
 // SetVectorized(false) forces the scalar path for differential testing
 // and ablation.
 
@@ -53,8 +56,8 @@ class SelectionBitmap;
 /// row id for no-aggregation queries), so repeated executions and
 /// executions through different-but-equivalent predicates produce
 /// identical lists — whether evaluated through the scalar path, the
-/// vectorized kernels, the morsel-parallel scan, a dimension index, or
-/// cached selections.
+/// vectorized kernels, the morsel-parallel scan, posting-fed bitmaps,
+/// or cached selections.
 ///
 /// Thread safety: Execute / ExecuteOnRows / CountMatching may be
 /// called concurrently from any number of threads — the tables they
@@ -79,9 +82,11 @@ class Executor {
   struct Stats {
     std::atomic<int64_t> queries_executed{0};
     std::atomic<int64_t> rows_scanned{0};
-    /// Executions answered from dimension-index postings instead of a
-    /// full scan.
+    /// Full-scan executions whose conjunction the attached dimension
+    /// index covers.
     std::atomic<int64_t> index_assisted{0};
+    /// Atom-chunk bitmaps built from postings on an atom-cache miss.
+    std::atomic<int64_t> posting_bitmaps{0};
     /// Executions that degraded from the vectorized to the scalar path
     /// because selection-bitmap memory could not be allocated (real or
     /// injected) or the attached cache is under memory pressure.
@@ -132,12 +137,10 @@ class Executor {
   /// SetDimensionIndex (set before sharing, never mid-flight).
   void SetMetrics(MetricHandles handles) { metrics_ = handles; }
 
-  /// Attaches secondary dimension indexes built over `indexed_table`.
-  /// Subsequent Execute calls against that exact table evaluate fully
-  /// covered, non-empty predicates by posting-list intersection instead
-  /// of scanning. Results are identical either way (asserted by the
-  /// executor property tests); only wall-clock changes. Pass nullptrs
-  /// to detach.
+  /// Attaches secondary dimension indexes built over `indexed_table`:
+  /// full scans of that exact table build equality-atom bitmaps from
+  /// postings. Results are bit-identical either way; only wall-clock
+  /// changes. Pass nullptrs to detach.
   void SetDimensionIndex(const DimensionIndex* index,
                          const Table* indexed_table) {
     dimension_index_ = index;
@@ -192,6 +195,7 @@ class Executor {
     stats_.queries_executed.store(0, std::memory_order_relaxed);
     stats_.rows_scanned.store(0, std::memory_order_relaxed);
     stats_.index_assisted.store(0, std::memory_order_relaxed);
+    stats_.posting_bitmaps.store(0, std::memory_order_relaxed);
     stats_.scalar_fallbacks.store(0, std::memory_order_relaxed);
     stats_.chunks_skipped.store(0, std::memory_order_relaxed);
     stats_.morsels.store(0, std::memory_order_relaxed);
@@ -204,6 +208,11 @@ class Executor {
                                  const std::vector<RowId>* rows,
                                  const TopKQuery& query,
                                  const ExecContext& ctx);
+
+  /// The attached index if it was built over `table`, else null.
+  const DimensionIndex* IndexFor(const Table& table) const {
+    return indexed_table_ == &table ? dimension_index_ : nullptr;
+  }
 
   Stats stats_;
   MetricHandles metrics_;

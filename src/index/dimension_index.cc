@@ -1,42 +1,43 @@
 #include "index/dimension_index.h"
 
-#include <algorithm>
-
-#include "paleo/tuple_set.h"
+#include <cmath>
+#include <cstring>
 
 namespace paleo {
 
-DimensionIndex DimensionIndex::Build(const Table& table) {
-  DimensionIndex index;
-  const Schema& schema = table.schema();
-  for (int c : schema.dimension_indices()) {
-    const Column& col = table.column(c);
-    ColumnPostings postings;
-    postings.type = col.type();
-    const size_t n = table.num_rows();
-    for (size_t r = 0; r < n; ++r) {
-      uint64_t key = 0;
-      switch (col.type()) {
-        case DataType::kString:
-          key = col.CodeAt(static_cast<RowId>(r));
-          break;
-        case DataType::kInt64:
-          key = static_cast<uint64_t>(col.Int64At(static_cast<RowId>(r)));
-          break;
-        case DataType::kDouble: {
-          double v = col.DoubleAt(static_cast<RowId>(r));
-          __builtin_memcpy(&key, &v, sizeof(key));
-          break;
-        }
-      }
-      postings.by_value[key].push_back(static_cast<RowId>(r));
+namespace {
+
+/// Key of a double under `==` semantics: -0.0 shares +0.0's key, and
+/// NaN (equal to nothing) has none.
+bool DoubleKey(double v, uint64_t* key) {
+  if (std::isnan(v)) return false;
+  if (v == 0.0) v = 0.0;
+  std::memcpy(key, &v, sizeof(*key));
+  return true;
+}
+
+}  // namespace
+
+void DimensionIndex::AppendRows(const Table& table, int c, size_t from,
+                                ColumnPostings* postings) {
+  const Column& col = table.column(c);
+  postings->type = col.type();
+  for (size_t r = from; r < table.num_rows(); ++r) {
+    const RowId row = static_cast<RowId>(r);
+    uint64_t key = 0;
+    switch (col.type()) {
+      case DataType::kString:
+        key = col.CodeAt(row);
+        break;
+      case DataType::kInt64:
+        key = static_cast<uint64_t>(col.Int64At(row));
+        break;
+      case DataType::kDouble:
+        if (!DoubleKey(col.DoubleAt(row), &key)) continue;
+        break;
     }
-    if (col.type() == DataType::kString) {
-      index.dicts_.emplace(c, col.dict());
-    }
-    index.columns_.emplace(c, std::move(postings));
+    postings->by_value[key].push_back(row);
   }
-  return index;
 }
 
 DimensionIndex DimensionIndex::BuildIncremental(const DimensionIndex& prev,
@@ -45,30 +46,11 @@ DimensionIndex DimensionIndex::BuildIncremental(const DimensionIndex& prev,
   DimensionIndex index;
   index.columns_ = prev.columns_;  // copied posting maps
   for (int c : table.schema().dimension_indices()) {
-    const Column& col = table.column(c);
-    ColumnPostings& postings = index.columns_[c];
-    postings.type = col.type();
-    for (size_t r = old_rows; r < table.num_rows(); ++r) {
-      uint64_t key = 0;
-      switch (col.type()) {
-        case DataType::kString:
-          key = col.CodeAt(static_cast<RowId>(r));
-          break;
-        case DataType::kInt64:
-          key = static_cast<uint64_t>(col.Int64At(static_cast<RowId>(r)));
-          break;
-        case DataType::kDouble: {
-          double v = col.DoubleAt(static_cast<RowId>(r));
-          __builtin_memcpy(&key, &v, sizeof(key));
-          break;
-        }
-      }
-      postings.by_value[key].push_back(static_cast<RowId>(r));
-    }
-    if (col.type() == DataType::kString) {
+    AppendRows(table, c, old_rows, &index.columns_[c]);
+    if (table.column(c).type() == DataType::kString) {
       // The NEW table's dictionary: the snapshot must not dangle into
       // the previous version's (deep-copied) dictionaries.
-      index.dicts_.emplace(c, col.dict());
+      index.dicts_.emplace(c, table.column(c).dict());
     }
   }
   return index;
@@ -90,12 +72,8 @@ bool DimensionIndex::KeyFor(int column, const Value& value,
       if (!value.is_int64()) return false;
       *key = static_cast<uint64_t>(value.int64());
       return true;
-    case DataType::kDouble: {
-      if (!value.is_numeric()) return false;
-      double v = value.AsDouble();
-      __builtin_memcpy(key, &v, sizeof(*key));
-      return true;
-    }
+    case DataType::kDouble:
+      return value.is_numeric() && DoubleKey(value.AsDouble(), key);
   }
   return false;
 }
@@ -113,27 +91,9 @@ const std::vector<RowId>& DimensionIndex::Lookup(int column,
 bool DimensionIndex::Covers(const Predicate& predicate) const {
   for (const AtomicPredicate& atom : predicate.atoms()) {
     // Range atoms are not answerable from equality postings.
-    if (atom.is_range()) return false;
-    if (columns_.find(atom.column) == columns_.end()) return false;
+    if (atom.is_range() || !Indexes(atom.column)) return false;
   }
   return true;
-}
-
-std::vector<RowId> DimensionIndex::Match(const Predicate& predicate) const {
-  // Gather the postings, shortest first, then intersect.
-  std::vector<const std::vector<RowId>*> postings;
-  postings.reserve(predicate.atoms().size());
-  for (const AtomicPredicate& atom : predicate.atoms()) {
-    postings.push_back(&Lookup(atom.column, atom.value));
-    if (postings.back()->empty()) return {};
-  }
-  std::sort(postings.begin(), postings.end(),
-            [](const auto* a, const auto* b) { return a->size() < b->size(); });
-  std::vector<RowId> rows = *postings[0];
-  for (size_t i = 1; i < postings.size() && !rows.empty(); ++i) {
-    rows = IntersectSorted(rows, *postings[i]);
-  }
-  return rows;
 }
 
 size_t DimensionIndex::MemoryUsage() const {

@@ -1,17 +1,17 @@
 // Secondary indexes on dimension columns.
 //
 // Candidate-query validation executes many conjunctive-equality
-// queries against R. With a posting list per (dimension column, value),
-// the executor can intersect postings instead of scanning R — the
-// standard inverted-index evaluation strategy. The paper validates
-// against PostgreSQL with only the entity B+ tree (full scans); this
-// index is an optional substrate improvement that changes none of the
-// measured quantities (executions, candidates) — only wall-clock.
-// bench_micro_executor quantifies the difference.
+// queries against R. A posting list per (dimension column, value) lets
+// the executor's chunk scan build an equality atom's per-chunk
+// selection bitmap from the posting rows inside the chunk instead of
+// evaluating the atom over every row of the chunk (see
+// engine/executor.h). The paper validates against PostgreSQL with only
+// the entity B+ tree (full scans); this index is an optional substrate
+// improvement that changes none of the measured quantities
+// (executions, candidates) — only wall-clock.
 //
-// Immutable after Build(): Lookup/Covers/Match are const, allocate
-// only caller-local state, and may run concurrently from any number of
-// threads over one shared instance.
+// Immutable after Build(): Lookup/Indexes/Covers are const and may run
+// concurrently from any number of threads over one shared instance.
 
 #ifndef PALEO_INDEX_DIMENSION_INDEX_H_
 #define PALEO_INDEX_DIMENSION_INDEX_H_
@@ -30,7 +30,9 @@ namespace paleo {
 class DimensionIndex {
  public:
   /// One pass per dimension column.
-  static DimensionIndex Build(const Table& table);
+  static DimensionIndex Build(const Table& table) {
+    return BuildIncremental(DimensionIndex(), table, 0);
+  }
 
   /// Builds the index for `table` off `prev`, which must index exactly
   /// the first `old_rows` rows of `table`. Copies the posting maps and
@@ -42,34 +44,37 @@ class DimensionIndex {
                                          const Table& table,
                                          size_t old_rows);
 
-  /// Rows matching `column = value`, ascending; empty if the value is
-  /// absent or the column is not indexed.
+  /// Rows matching `column = value` under the scan's `==` (so -0.0
+  /// finds +0.0 and NaN finds nothing), ascending; empty if the value
+  /// is absent, of a mismatched type, or the column is not indexed.
   const std::vector<RowId>& Lookup(int column, const Value& value) const;
 
-  /// True if every atom of the predicate references an indexed column
-  /// (so the predicate can be evaluated from postings alone).
-  bool Covers(const Predicate& predicate) const;
+  /// True if `column` has postings.
+  bool Indexes(int column) const { return columns_.count(column) != 0; }
 
-  /// Rows matching the whole conjunction, ascending: postings are
-  /// intersected smallest-first. Precondition: Covers(predicate) and
-  /// !predicate.IsTrue().
-  std::vector<RowId> Match(const Predicate& predicate) const;
+  /// True if every atom of the predicate is an equality on an indexed
+  /// column (so every atom's selection can come from postings).
+  bool Covers(const Predicate& predicate) const;
 
   /// Approximate heap footprint in bytes.
   size_t MemoryUsage() const;
 
  private:
   // Per indexed column: value-key -> posting. Keys normalize values to
-  // 64 bits (dictionary code / int64 / double bits), consistent with
-  // the column's physical type.
+  // 64 bits (dictionary code / int64 / double bits with -0.0 folded
+  // into +0.0), consistent with the column's physical type.
   struct ColumnPostings {
     DataType type = DataType::kString;
     std::unordered_map<uint64_t, std::vector<RowId>> by_value;
   };
 
+  /// Posts rows [from, table.num_rows()) of column `c` into `postings`.
+  static void AppendRows(const Table& table, int c, size_t from,
+                         ColumnPostings* postings);
+
   /// Normalizes `value` to the column's key space; false if the value
   /// cannot match the column (type mismatch / unknown dictionary
-  /// string).
+  /// string / NaN).
   bool KeyFor(int column, const Value& value, uint64_t* key) const;
 
   std::unordered_map<int, ColumnPostings> columns_;

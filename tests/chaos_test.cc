@@ -403,8 +403,7 @@ TEST_F(ChaosTest, NonRetryableDispatchFaultFailsWithoutRetry) {
 }
 
 TEST_F(ChaosTest, MemoryPressureDegradesToScalarNotFailure) {
-  // The dimension index answers covered predicates without touching
-  // the vectorized selection or atom-cache paths, so it would hide the
+  // Index off: every atom bitmap comes from the selection kernels, the
   // allocation sites this test starves. Results are identical either
   // way (options_behavior_test pins that), so the baseline still holds.
   PaleoOptions engine_options;
