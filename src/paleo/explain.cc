@@ -47,6 +47,9 @@ std::string ExplainReport(const ReverseEngineerReport& report,
   if (!by_size.empty()) {
     out += Line("by size:", Join(by_size, ", "));
   }
+  out += Line("extensions tried:", WithThousands(report.mining_extensions));
+  out += Line("extensions rejected early:",
+              WithThousands(report.mining_early_rejects));
   out += Line("distinct tuple sets:", WithThousands(report.tuple_sets));
 
   out += "Step 2 — ranking criteria (Figure 4 walk)\n";

@@ -170,6 +170,8 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
       static_cast<int64_t>(mining.predicates.size());
   report.predicates_by_size = mining.predicates_by_size;
   report.tuple_sets = static_cast<int64_t>(mining.groups.size());
+  report.mining_extensions = mining.extensions;
+  report.mining_early_rejects = mining.early_rejects;
   report.timings.find_predicates_ms = step_timer.ElapsedMillis();
   obs::Inc(metrics.candidate_predicates, report.candidate_predicates);
   obs::Observe(metrics.step_find_predicates_ms,
@@ -177,6 +179,8 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
   mine_span.AddAttr("rprime_rows", report.rprime_rows);
   mine_span.AddAttr("candidate_predicates", report.candidate_predicates);
   mine_span.AddAttr("tuple_sets", report.tuple_sets);
+  mine_span.AddAttr("extensions", report.mining_extensions);
+  mine_span.AddAttr("early_rejects", report.mining_early_rejects);
   mine_span.End();
 
   // ---- Step 2: identify ranking criteria ----

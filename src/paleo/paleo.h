@@ -77,6 +77,11 @@ struct ReverseEngineerReport {
   int64_t candidate_predicates = 0;
   std::vector<int> predicates_by_size;  // index = |P|
   int64_t tuple_sets = 0;
+  /// Step-1 work (MiningResult::extensions / early_rejects):
+  /// conjunctions the level-wise extension tried, and those dismissed
+  /// before their last entity segment.
+  int64_t mining_extensions = 0;
+  int64_t mining_early_rejects = 0;
   int64_t candidate_queries = 0;
 
   /// Validation effort. executed_queries counts committed executions

@@ -42,21 +42,32 @@ TupleSet ToTupleSet(const RowBits& bits, int count) {
   return rows;
 }
 
-/// CountCoveredEntities over the rows set in `bits`.
-int CountCoveredBits(const RowBits& bits,
-                     const std::vector<uint32_t>& row_entity,
-                     int num_entities, std::vector<uint64_t>* scratch) {
-  scratch->assign((static_cast<size_t>(num_entities) + 63) / 64, 0);
-  for (size_t w = 0; w < bits.size(); ++w) {
-    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
-      uint32_t e = row_entity[w * 64 + static_cast<size_t>(
-                                           __builtin_ctzll(word))];
-      (*scratch)[e >> 6] |= uint64_t{1} << (e & 63);
-    }
+/// Distinct entities among sorted local rows. R' is entity-major, so
+/// the rows of one entity form one run.
+int CountEntityRuns(const TupleSet& rows,
+                    const std::vector<uint32_t>& row_entity) {
+  int runs = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || row_entity[rows[i]] != row_entity[rows[i - 1]]) ++runs;
   }
-  int covered = 0;
-  for (uint64_t w : *scratch) covered += __builtin_popcountll(w);
-  return covered;
+  return runs;
+}
+
+/// True iff `a` and `b` share a row in [begin, end): the AND of the
+/// words the segment spans, with the bits outside it masked off.
+bool SegmentIntersects(const RowBits& a, const RowBits& b, RowId begin,
+                       RowId end) {
+  if (begin == end) return false;
+  const size_t first = begin >> 6;
+  const size_t last = (end - 1) >> 6;
+  const uint64_t first_mask = ~uint64_t{0} << (begin & 63);
+  const uint64_t last_mask = ~uint64_t{0} >> (63 - ((end - 1) & 63));
+  if (first == last) return (a[first] & b[first] & first_mask & last_mask) != 0;
+  if ((a[first] & b[first] & first_mask) != 0) return true;
+  for (size_t w = first + 1; w < last; ++w) {
+    if ((a[w] & b[w]) != 0) return true;
+  }
+  return (a[last] & b[last] & last_mask) != 0;
 }
 
 /// Coverage bitmap of a tuple set.
@@ -139,11 +150,10 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
     keys.reserve(buckets.size());
     for (const auto& [key, rows] : buckets) keys.push_back(key);
     std::sort(keys.begin(), keys.end());
-    std::vector<uint64_t> scratch;
     for (uint64_t key : keys) {
       if (gate.Tick() != TerminationReason::kCompleted) break;
       TupleSet& rows = buckets[key];
-      int covered = CountCoveredEntities(rows, row_entity, m, &scratch);
+      int covered = CountEntityRuns(rows, row_entity);
       if (covered < required) continue;
       Value v;
       switch (col.type()) {
@@ -225,9 +235,7 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
         if (p.v >= best_lo && p.v <= best_hi) rows.push_back(p.row);
       }
       std::sort(rows.begin(), rows.end());
-      std::vector<uint64_t> scratch;
-      int covered_final =
-          CountCoveredEntities(rows, row_entity, m, &scratch);
+      int covered_final = CountEntityRuns(rows, row_entity);
       if (covered_final < required) continue;  // defensive
 
       Value lo = col.type() == DataType::kInt64
@@ -247,17 +255,28 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
   }
 
   // ---- Levels 2..max: column-increasing extension ----
-  // Extensions intersect dense row bitmaps: one word-wise AND plus a
-  // popcount per pair. Only survivors are turned back into sorted tuple
-  // sets, so groups and predicate order match a sorted-list merge.
+  // Extensions intersect dense row bitmaps one entity segment at a
+  // time, fewest rows first, and stop once more segments came out empty
+  // than the coverage bar allows (at the first one with a complete R').
+  // The covered entities are the non-empty segments. Only survivors are
+  // ANDed in full and turned back into sorted tuple sets, so groups and
+  // predicate order match a sorted-list merge.
   const size_t words = (slice.num_rows() + 63) / 64;
   if (options_.max_predicate_size >= 2) {
     for (LevelEntry& entry : level1) entry.bits = ToBits(entry.rows, words);
   }
+  const std::vector<RowId>& segment = rprime_.entity_begin();
+  std::vector<uint32_t> segment_order(static_cast<size_t>(m));
+  for (uint32_t e = 0; e < segment_order.size(); ++e) segment_order[e] = e;
+  std::stable_sort(segment_order.begin(), segment_order.end(),
+                   [&](uint32_t x, uint32_t y) {
+                     return segment[x + 1] - segment[x] <
+                            segment[y + 1] - segment[y];
+                   });
+  const int allowed_misses = m - required;
   std::vector<std::vector<LevelEntry>> levels;
   levels.push_back(std::move(level1));
   RowBits both(words);
-  std::vector<uint64_t> scratch;
   for (int size = 2;
        size <= options_.max_predicate_size && !gate.exhausted(); ++size) {
     const bool extended_again = size < options_.max_predicate_size;
@@ -274,14 +293,25 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
         // generated exactly once and same-column conflicts are
         // impossible.
         if (atom.max_column <= base.max_column) continue;
+        ++result.extensions;
+        int misses = 0;
+        size_t visited = 0;
+        while (visited < segment_order.size() && misses <= allowed_misses) {
+          const uint32_t e = segment_order[visited++];
+          if (!SegmentIntersects(base.bits, atom.bits, segment[e],
+                                 segment[e + 1])) {
+            ++misses;
+          }
+        }
+        if (misses > allowed_misses) {
+          if (visited < segment_order.size()) ++result.early_rejects;
+          continue;
+        }
         int count = 0;
         for (size_t w = 0; w < words; ++w) {
           both[w] = base.bits[w] & atom.bits[w];
           count += __builtin_popcountll(both[w]);
         }
-        if (count < required) continue;
-        int covered = CountCoveredBits(both, row_entity, m, &scratch);
-        if (covered < required) continue;
         auto extended =
             base.predicate.And(atom.predicate.atoms().front());
         if (!extended.ok()) continue;  // unreachable by construction
@@ -290,7 +320,7 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
         entry.rows = ToTupleSet(both, count);
         if (extended_again) entry.bits = both;
         entry.max_column = atom.max_column;
-        entry.covered = covered;
+        entry.covered = m - misses;
         next.push_back(std::move(entry));
       }
     }
@@ -316,9 +346,7 @@ StatusOr<MiningResult> PredicateMiner::Mine(const RunBudget* budget) const {
     for (size_t r = 0; r < slice.num_rows(); ++r) {
       everything.rows[r] = static_cast<RowId>(r);
     }
-    std::vector<uint64_t> scratch;
-    everything.covered =
-        CountCoveredEntities(everything.rows, row_entity, m, &scratch);
+    everything.covered = CountEntityRuns(everything.rows, row_entity);
     everything.max_column = -1;
     if (everything.covered >= required) {
       extra_entries.push_back(std::move(everything));

@@ -7,7 +7,9 @@
 // exactly once), intersecting tuple-id sets and pruning by the
 // anti-monotone coverage criterion. Unlike classic apriori, a predicate
 // is dropped the moment it misses the coverage bar — there is no
-// support counting pass.
+// support counting pass. The intersection runs over R''s entity
+// segments, fewest rows first, and stops at the segment that settles
+// the miss.
 //
 // Coverage: with a complete R' a candidate must cover every input
 // entity (Definition 1); under sampling the bar is relaxed to
@@ -44,7 +46,9 @@ struct MinedPredicate {
 /// \brief Distinct tuple set shared by one or more candidate
 /// predicates (paper Section 4.1).
 struct PredicateGroup {
-  TupleSet rows;  // sorted local row ids into R'
+  /// Sorted local row ids into R'; with R' entity-major, grouped by
+  /// entity in entity order.
+  TupleSet rows;
   std::vector<int> predicate_ids;
   int covered_entities = 0;
   /// Coverage bitmap: bit e set iff input entity e has a row in
@@ -59,6 +63,11 @@ struct MiningResult {
   /// predicates_by_size[s] = number of candidate predicates with s
   /// atoms (index 0 unused).
   std::vector<int> predicates_by_size;
+  /// Conjunctions the level-wise extension tried (after the
+  /// column-order filter), and those of them dismissed before their
+  /// last entity segment was intersected.
+  int64_t extensions = 0;
+  int64_t early_rejects = 0;
   /// kCompleted when the level-wise search ran to exhaustion;
   /// otherwise the search stopped early and `predicates` holds only
   /// what was mined before the budget ran out.

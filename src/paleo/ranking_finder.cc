@@ -233,39 +233,42 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     return bound <= std::numeric_limits<double>::max() / 4;
   };
 
-  // Each group's rows bucketed by entity, built on first use and kept
-  // for the whole walk. Bucketing is stable, so an entity accumulates
-  // its rows in row order and its aggregate is bit-identical to a
-  // row-order loop. `order` lists the covered entities by ascending row
-  // count: the value check tries the cheapest entities first.
+  // Each group's entity segments, built on first use and kept for the
+  // whole walk. R' is entity-major, so a group's sorted rows already
+  // list each entity's rows together, in row order: an entity's
+  // aggregate is bit-identical to a row-order loop. `begin` bounds the
+  // segments inside the group's rows; `order` lists the covered
+  // entities by ascending row count, so the value check tries the
+  // cheapest entities first.
   struct EntityRows {
-    std::vector<RowId> rows;
-    std::vector<uint32_t> begin;  // m + 1 offsets into `rows`
+    const TupleSet* rows = nullptr;
+    std::vector<uint32_t> begin;  // m + 1 offsets into `*rows`
     std::vector<uint32_t> order;
   };
+  const std::vector<RowId>& segment = rprime_.entity_begin();
   std::vector<EntityRows> by_entity(groups.size());
   // Null when no grouped criterion of group g can be exact in complete
   // mode, which rejects them all without touching a row.
   auto entity_rows = [&](size_t g) -> const EntityRows* {
     if (assume_complete && !list_fits) return nullptr;
     EntityRows& b = by_entity[g];
-    if (b.begin.empty()) {
+    if (b.rows == nullptr) {
       const TupleSet& rows = groups[g].rows;
-      b.begin.assign(static_cast<size_t>(m) + 1, 0);
-      for (RowId r : rows) ++b.begin[row_entity[r] + 1];
+      b.rows = &rows;
+      b.begin.resize(static_cast<size_t>(m) + 1);
+      for (size_t e = 0; e <= static_cast<size_t>(m); ++e) {
+        b.begin[e] = static_cast<uint32_t>(
+            std::lower_bound(rows.begin(), rows.end(), segment[e]) -
+            rows.begin());
+      }
       for (uint32_t e = 0; e < static_cast<uint32_t>(m); ++e) {
-        if (b.begin[e + 1] > 0) b.order.push_back(e);
+        if (b.begin[e + 1] > b.begin[e]) b.order.push_back(e);
       }
       std::stable_sort(b.order.begin(), b.order.end(),
                        [&](uint32_t x, uint32_t y) {
-                         return b.begin[x + 1] < b.begin[y + 1];
+                         return b.begin[x + 1] - b.begin[x] <
+                                b.begin[y + 1] - b.begin[y];
                        });
-      for (size_t e = 0; e < static_cast<size_t>(m); ++e) {
-        b.begin[e + 1] += b.begin[e];
-      }
-      std::vector<uint32_t> next(b.begin.begin(), b.begin.end() - 1);
-      b.rows.resize(rows.size());
-      for (RowId r : rows) b.rows[next[row_entity[r]]++] = r;
     }
     if (assume_complete && b.order.size() != static_cast<size_t>(m)) {
       return nullptr;
@@ -331,7 +334,7 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
       return {false, cand};
     }
     bool fits = list_fits && b->order.size() == static_cast<size_t>(m);
-    const bool finite = finite_aggregates(expr, agg, b->rows.size());
+    const bool finite = finite_aggregates(expr, agg, b->rows->size());
     std::fill(per_entity.begin(), per_entity.end(), 0.0);
     for (uint32_t e : b->order) {
       per_entity[e] = entity_value(e);
@@ -410,7 +413,7 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
         std::vector<std::vector<double>> vals;
         std::vector<std::vector<double>> col_sums;
         if (b != nullptr) {
-          vals.assign(measures.size(), std::vector<double>(b->rows.size()));
+          vals.assign(measures.size(), std::vector<double>(b->rows->size()));
           col_sums.assign(measures.size(),
                           std::vector<double>(static_cast<size_t>(m)));
           for (size_t ci = 0; ci < measures.size(); ++ci) {
@@ -419,7 +422,7 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
             for (size_t e = 0; e < static_cast<size_t>(m); ++e) {
               double s = 0.0;
               for (uint32_t p = b->begin[e]; p < b->begin[e + 1]; ++p) {
-                v[p] = col.NumericAt(b->rows[p]);
+                v[p] = col.NumericAt((*b->rows)[p]);
                 s += v[p];
               }
               col_sums[ci][e] = s;
@@ -462,7 +465,7 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
           emit(score_grouped(b, expr, stage.agg, [&](uint32_t e) {
             AggState st;
             for (uint32_t p = b->begin[e]; p < b->begin[e + 1]; ++p) {
-              st.Add(col.NumericAt(b->rows[p]));
+              st.Add(col.NumericAt((*b->rows)[p]));
             }
             double v = st.Finish(stage.agg);
             if (stage.agg == AggFn::kSum) v *= sum_scale[e];

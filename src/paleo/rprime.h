@@ -20,14 +20,18 @@ namespace paleo {
 
 /// \brief The working slice R' (or its sample R'').
 ///
-/// Rows are re-numbered 0..n-1 (local RowIds) and each row carries the
-/// index of its entity within the input list (0..m-1), which makes the
-/// miner's coverage checks O(1) bit operations.
+/// Rows are re-numbered 0..n-1 (local RowIds) entity-major: entity e
+/// of the input list (0..m-1, list order) owns the contiguous segment
+/// [entity_begin()[e], entity_begin()[e + 1]), and within a segment
+/// local rows ascend with global rows. A sorted tuple set is therefore
+/// grouped by entity, in entity order, which lets the miner test
+/// coverage and the ranking finder aggregate one segment at a time.
 class RPrime {
  public:
   /// Materializes R' via the entity index: all rows of all distinct
   /// entities of L. `base_row_ids` can restrict to a sample (global row
-  /// ids into `base`); pass nullptr for the full slice.
+  /// ids into `base`, sorted non-decreasing, else InvalidArgument);
+  /// pass nullptr for the full slice.
   ///
   /// Entities of L absent from R are recorded in missing_entities()
   /// (possible under the changed-data scenario of Section 6).
@@ -51,8 +55,12 @@ class RPrime {
   /// for duplicated entities in no-aggregation lists).
   const std::vector<double>& entity_values() const { return entity_values_; }
 
-  /// Local entity index (0..m-1) of each local row.
+  /// Local entity index (0..m-1) of each local row; non-decreasing.
   const std::vector<uint32_t>& row_entity() const { return row_entity_; }
+
+  /// m + 1 local-row offsets: entity e owns rows
+  /// [entity_begin()[e], entity_begin()[e + 1]).
+  const std::vector<RowId>& entity_begin() const { return entity_begin_; }
 
   /// Tuples present in this slice per entity (aligned with
   /// entity_names()).
@@ -78,6 +86,7 @@ class RPrime {
   Table table_{Schema()};
   std::vector<uint32_t> row_entity_;
   std::vector<RowId> global_rows_;
+  std::vector<RowId> entity_begin_;
   std::vector<std::string> entity_names_;
   std::vector<double> entity_values_;
   std::vector<int64_t> entity_row_counts_;

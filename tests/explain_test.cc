@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "datagen/traffic_gen.h"
 #include "paleo/explain.h"
 
@@ -38,6 +39,43 @@ TEST(ExplainTest, RendersFoundReport) {
   EXPECT_NE(text.find("max(minutes)"), std::string::npos);
   EXPECT_NE(text.find("Top-scored candidates"), std::string::npos);
   EXPECT_NE(text.find("Timings"), std::string::npos);
+}
+
+TEST(ExplainTest, MinerCountersReachLinesAndSpan) {
+  auto table = TrafficGen::PaperExample();
+  ASSERT_TRUE(table.ok());
+  Paleo paleo(&*table, PaleoOptions{});
+  const TopKList input = PaperList();
+  auto report =
+      paleo.Run(RunRequest{.input = &input, .collect_trace = true});
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->mining_extensions, 0);
+  EXPECT_LE(report->mining_early_rejects, report->mining_extensions);
+
+  std::string text = ExplainReport(*report, table->schema());
+  auto line_value = [&](const std::string& label) {
+    size_t at = text.find("  " + label);
+    EXPECT_NE(at, std::string::npos) << label;
+    if (at == std::string::npos) return std::string();
+    size_t begin = text.find_first_not_of(' ', at + 2 + label.size());
+    return text.substr(begin, text.find('\n', begin) - begin);
+  };
+  EXPECT_EQ(line_value("extensions tried:"),
+            WithThousands(report->mining_extensions));
+  EXPECT_EQ(line_value("extensions rejected early:"),
+            WithThousands(report->mining_early_rejects));
+
+  ASSERT_NE(report->trace, nullptr);
+  int64_t extensions = -1, early_rejects = -1;
+  for (const obs::Span& span : report->trace->spans()) {
+    if (span.name != "find_predicates") continue;
+    for (const obs::SpanAttr& attr : span.attrs) {
+      if (attr.key == "extensions") extensions = attr.i;
+      if (attr.key == "early_rejects") early_rejects = attr.i;
+    }
+  }
+  EXPECT_EQ(extensions, report->mining_extensions);
+  EXPECT_EQ(early_rejects, report->mining_early_rejects);
 }
 
 TEST(ExplainTest, RendersNotFoundReportWithoutCandidates) {

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 
 #include "common/random.h"
 #include "datagen/traffic_gen.h"
@@ -267,8 +269,10 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+// `RP` is RPrime, or the row-order R' of the layout test below.
+template <typename RP>
 struct Reference {
-  const RPrime& rp;
+  const RP& rp;
   const PaleoOptions& options;
   const TopKList& input;
   bool complete;
@@ -277,7 +281,7 @@ struct Reference {
   /// Exact grouped criteria seen (each one checked for soundness).
   int exact_seen = 0;
 
-  Reference(const RPrime& rp_in, const PaleoOptions& options_in,
+  Reference(const RP& rp_in, const PaleoOptions& options_in,
             const TopKList& input_in, bool complete_in)
       : rp(rp_in), options(options_in), input(input_in),
         complete(complete_in) {
@@ -543,8 +547,27 @@ struct DiffCase {
   EntityIndex index;
   std::vector<RowId> sample;
   TopKList list;
-  std::vector<PredicateGroup> groups;
+  /// Groups as sorted global row ids: R''s local numbering depends on
+  /// L's entity order, which is only known once L is built.
+  std::vector<TupleSet> global_groups;
 };
+
+/// `global_groups` as groups of R' rows.
+std::vector<PredicateGroup> LocalGroups(
+    const RPrime& rp, const std::vector<TupleSet>& global_groups) {
+  std::map<RowId, RowId> local_of;
+  for (size_t r = 0; r < rp.num_rows(); ++r) {
+    local_of[rp.GlobalRow(static_cast<RowId>(r))] = static_cast<RowId>(r);
+  }
+  std::vector<PredicateGroup> groups;
+  for (const TupleSet& global : global_groups) {
+    PredicateGroup group;
+    for (RowId g : global) group.rows.push_back(local_of.at(g));
+    std::sort(group.rows.begin(), group.rows.end());
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
 
 // Builds one case. L comes from a real criterion over a random group,
 // ranked DESC or ASC, then possibly perturbed: one value nudged to just
@@ -594,22 +617,25 @@ DiffCase MakeCase(Rng& rng, double rel_eps) {
   // uncovered).
   const size_t n = rp0->num_rows();
   int num_groups = static_cast<int>(rng.UniformInt(1, 4));
+  std::vector<TupleSet> groups;
   for (int g = 0; g < num_groups; ++g) {
-    PredicateGroup group;
+    TupleSet rows;
     uint64_t keep_of_4 = g == 0 ? 4 : rng.UniformInt(1, 3);
     for (size_t r = 0; r < n; ++r) {
-      if (rng.Uniform(4) < keep_of_4) {
-        group.rows.push_back(static_cast<RowId>(r));
-      }
+      if (rng.Uniform(4) < keep_of_4) rows.push_back(static_cast<RowId>(r));
     }
-    dc.groups.push_back(std::move(group));
+    TupleSet global;
+    for (RowId r : rows) global.push_back(rp0->GlobalRow(r));
+    std::sort(global.begin(), global.end());
+    dc.global_groups.push_back(std::move(global));
+    groups.push_back(std::move(rows));
   }
 
   // L's values from a real criterion over one group.
   const Table& slice = rp0->table();
   const std::vector<int>& measures = slice.schema().measure_indices();
   const TupleSet& rows =
-      dc.groups[rng.Uniform(2) ? 0 : rng.Uniform(dc.groups.size())].rows;
+      groups[rng.Uniform(2) ? 0 : rng.Uniform(groups.size())];
   static const AggFn kAggs[] = {AggFn::kMax, AggFn::kMin, AggFn::kSum,
                                 AggFn::kAvg, AggFn::kCount};
   AggFn agg = kAggs[rng.Uniform(5)];
@@ -723,6 +749,8 @@ TEST(RankingFinderDifferentialTest, MatchesFullScoringOnRandomRelations) {
     DiffCase dc = MakeCase(rng, rel_eps);
     auto rp = RPrime::Build(dc.table, dc.index, dc.list, &dc.sample);
     ASSERT_TRUE(rp.ok());
+    const std::vector<PredicateGroup> groups =
+        LocalGroups(*rp, dc.global_groups);
     PaleoOptions options;
     options.rel_eps = rel_eps;
     options.enable_min_count = true;
@@ -735,11 +763,10 @@ TEST(RankingFinderDifferentialTest, MatchesFullScoringOnRandomRelations) {
                      dc.list.ToString());
         RankingFinder finder(*rp, nullptr, options);
         RankingSearchInfo info;
-        auto got = finder.Find(dc.groups, dc.list, complete, &info,
-                               exhaustive);
+        auto got = finder.Find(groups, dc.list, complete, &info, exhaustive);
         ASSERT_TRUE(got.ok());
         Reference ref(*rp, options, dc.list, complete);
-        ExpectSameRankings(*got, ref.Find(dc.groups, exhaustive));
+        ExpectSameRankings(*got, ref.Find(groups, exhaustive));
         EXPECT_LE(info.early_rejects, info.tuple_set_evaluations);
         exact_seen += ref.exact_seen;
         early_rejects += info.early_rejects;
@@ -853,6 +880,359 @@ TEST(RankingFinderTest, ExactModeRejectsEarlyOnWideRelations) {
   EXPECT_LE(info.early_rejects, info.tuple_set_evaluations);
   // All but the true criterion and the row rankings are rejected early.
   EXPECT_GT(info.early_rejects, info.tuple_set_evaluations / 2);
+}
+
+// ---- Layout differential: entity-major R' against a row-order R' ----
+//
+// RowOrderRPrime numbers R' in global row order: (global row, entity)
+// pairs sorted by row, so an entity's rows interleave with the others'.
+// Over it, ReferenceMineRowOrder runs Algorithm 1 with sorted
+// tuple sets (level 1 bucketing, IntersectSorted extension, coverage
+// by distinct entities), and Reference scores the groups. The miner and
+// the ranking finder on the entity-major R' must produce the same
+// predicates, groups (as global rows), order and rankings, with
+// bit-identical distances.
+class RowOrderRPrime {
+ public:
+  RowOrderRPrime(const Table& base, const EntityIndex& index,
+                 const TopKList& input, const std::vector<RowId>* sample) {
+    std::map<std::string, uint32_t> entity_idx;
+    for (const TopKEntry& e : input.entries()) {
+      if (entity_idx.emplace(e.entity, names_.size()).second) {
+        names_.push_back(e.entity);
+        values_.push_back(e.value);
+      }
+    }
+    std::vector<std::pair<RowId, uint32_t>> rows;
+    seen_.assign(names_.size(), 0);
+    total_.assign(names_.size(), 0);
+    for (uint32_t e = 0; e < names_.size(); ++e) {
+      const std::vector<RowId>& posting = index.Lookup(names_[e]);
+      total_[e] = static_cast<int64_t>(posting.size());
+      for (RowId global : posting) {
+        if (sample != nullptr &&
+            !std::binary_search(sample->begin(), sample->end(), global)) {
+          continue;
+        }
+        rows.emplace_back(global, e);
+        ++seen_[e];
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    for (const auto& [global, e] : rows) {
+      global_rows_.push_back(global);
+      row_entity_.push_back(e);
+    }
+    table_ = base.Gather(global_rows_);
+  }
+
+  const Table& table() const { return table_; }
+  size_t num_rows() const { return table_.num_rows(); }
+  int num_entities() const { return static_cast<int>(names_.size()); }
+  const std::vector<std::string>& entity_names() const { return names_; }
+  const std::vector<double>& entity_values() const { return values_; }
+  const std::vector<uint32_t>& row_entity() const { return row_entity_; }
+  const std::vector<int64_t>& entity_row_counts() const { return seen_; }
+  const std::vector<int64_t>& entity_total_counts() const { return total_; }
+  RowId GlobalRow(RowId local) const { return global_rows_[local]; }
+
+ private:
+  Table table_{Schema()};
+  std::vector<uint32_t> row_entity_;
+  std::vector<RowId> global_rows_;
+  std::vector<std::string> names_;
+  std::vector<double> values_;
+  std::vector<int64_t> seen_, total_;
+};
+
+/// Algorithm 1 over the row-order R'. Range atoms are not re-derived:
+/// their bounds come from `mined` (they depend on values only) and
+/// their rows are re-selected here.
+MiningResult ReferenceMineRowOrder(const RowOrderRPrime& rp,
+                                   const PaleoOptions& options,
+                                   const MiningResult& mined) {
+  struct Entry {
+    Predicate predicate;
+    TupleSet rows;
+    int max_column;
+    int covered;
+  };
+  const Table& slice = rp.table();
+  const int m = rp.num_entities();
+  const int required = std::max(
+      1, static_cast<int>(std::ceil(options.coverage_ratio * m)));
+  auto covered_by = [&](const TupleSet& rows) {
+    std::set<uint32_t> entities;
+    for (RowId r : rows) entities.insert(rp.row_entity()[r]);
+    return static_cast<int>(entities.size());
+  };
+  std::vector<std::vector<Entry>> levels(1);
+  for (int c : slice.schema().dimension_indices()) {
+    const Column& col = slice.column(c);
+    std::map<uint64_t, TupleSet> buckets;  // the miner's key order
+    for (size_t r = 0; r < slice.num_rows(); ++r) {
+      const RowId row = static_cast<RowId>(r);
+      uint64_t key = 0;
+      switch (col.type()) {
+        case DataType::kString:
+          key = col.CodeAt(row);
+          break;
+        case DataType::kInt64:
+          key = static_cast<uint64_t>(col.Int64At(row));
+          break;
+        case DataType::kDouble: {
+          double v = col.DoubleAt(row);
+          std::memcpy(&key, &v, sizeof(key));
+          break;
+        }
+      }
+      buckets[key].push_back(row);
+    }
+    for (const auto& [key, rows] : buckets) {
+      int covered = covered_by(rows);
+      if (covered < required) continue;
+      levels[0].push_back(Entry{Predicate::Atom(c, col.GetValue(rows[0])),
+                                rows, c, covered});
+    }
+  }
+  for (const MinedPredicate& p : mined.predicates) {
+    if (p.predicate.size() != 1 ||
+        p.predicate.atoms().front().kind != AtomicPredicate::Kind::kRange) {
+      continue;
+    }
+    TupleSet rows;
+    for (size_t r = 0; r < slice.num_rows(); ++r) {
+      if (p.predicate.Matches(slice, static_cast<RowId>(r))) {
+        rows.push_back(static_cast<RowId>(r));
+      }
+    }
+    levels[0].push_back(Entry{p.predicate, rows,
+                              p.predicate.atoms().front().column,
+                              covered_by(rows)});
+  }
+  for (int size = 2; size <= options.max_predicate_size; ++size) {
+    std::vector<Entry> next;
+    for (const Entry& base : levels.back()) {
+      for (const Entry& atom : levels[0]) {
+        if (atom.max_column <= base.max_column) continue;
+        TupleSet rows = IntersectSorted(base.rows, atom.rows);
+        int covered = covered_by(rows);
+        if (covered < required) continue;
+        auto extended = base.predicate.And(atom.predicate.atoms().front());
+        EXPECT_TRUE(extended.ok());
+        next.push_back(Entry{*std::move(extended), std::move(rows),
+                             atom.max_column, covered});
+      }
+    }
+    if (next.empty()) break;
+    levels.push_back(std::move(next));
+  }
+  if (options.include_empty_predicate) {
+    TupleSet all(rp.num_rows());
+    for (size_t r = 0; r < all.size(); ++r) all[r] = static_cast<RowId>(r);
+    int covered = covered_by(all);
+    if (covered >= required) {
+      levels.push_back({Entry{Predicate(), std::move(all), -1, covered}});
+    }
+  }
+
+  MiningResult out;
+  out.predicates_by_size.assign(
+      static_cast<size_t>(options.max_predicate_size) + 1, 0);
+  std::map<TupleSet, int> group_of;
+  for (const std::vector<Entry>& level : levels) {
+    for (const Entry& entry : level) {
+      size_t size = static_cast<size_t>(entry.predicate.size());
+      if (size < out.predicates_by_size.size()) {
+        ++out.predicates_by_size[size];
+      }
+      auto [it, inserted] = group_of.emplace(
+          entry.rows, static_cast<int>(out.groups.size()));
+      if (inserted) {
+        PredicateGroup group;
+        group.rows = entry.rows;
+        group.coverage.assign((static_cast<size_t>(m) + 63) / 64, 0);
+        for (RowId r : entry.rows) {
+          uint32_t e = rp.row_entity()[r];
+          group.coverage[e >> 6] |= uint64_t{1} << (e & 63);
+        }
+        group.covered_entities = covered_by(entry.rows);
+        out.groups.push_back(std::move(group));
+      }
+      out.groups[static_cast<size_t>(it->second)].predicate_ids.push_back(
+          static_cast<int>(out.predicates.size()));
+      MinedPredicate p;
+      p.predicate = entry.predicate;
+      p.group_id = it->second;
+      p.covered_entities = entry.covered;
+      out.predicates.push_back(std::move(p));
+    }
+  }
+  return out;
+}
+
+/// A group's rows as sorted global row ids.
+template <typename RP>
+TupleSet GlobalRows(const RP& rp, const TupleSet& rows) {
+  TupleSet global;
+  for (RowId r : rows) global.push_back(rp.GlobalRow(r));
+  std::sort(global.begin(), global.end());
+  return global;
+}
+
+// Tiny relations whose entities interleave in R, so the two layouts
+// number R' differently. Entities have 0-8 rows, or 63-65 so that
+// segments straddle word boundaries.
+Table LayoutTable(Rng& rng, int entities) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"s", DataType::kString, FieldRole::kDimension},
+      {"t", DataType::kString, FieldRole::kDimension},
+      {"i", DataType::kInt64, FieldRole::kDimension},
+      {"d", DataType::kDouble, FieldRole::kDimension},
+      {"x", DataType::kDouble, FieldRole::kMeasure},
+      {"y", DataType::kDouble, FieldRole::kMeasure},
+      {"n", DataType::kInt64, FieldRole::kMeasure},
+  });
+  EXPECT_TRUE(schema.ok());
+  std::vector<int> owners;
+  for (int e = 0; e < entities; ++e) {
+    int rows = rng.Uniform(4) == 0
+                   ? static_cast<int>(rng.UniformInt(63, 65))
+                   : static_cast<int>(rng.UniformInt(0, 8));
+    owners.insert(owners.end(), static_cast<size_t>(rows), e);
+  }
+  for (size_t i = owners.size(); i > 1; --i) {
+    std::swap(owners[i - 1], owners[rng.Uniform(i)]);
+  }
+  Table table(*schema);
+  for (int e : owners) {
+    EXPECT_TRUE(
+        table
+            .AppendRow({Value::String("e" + std::to_string(e)),
+                        Value::String(rng.Uniform(4) == 0 ? "u" : "v"),
+                        Value::String("t" + std::to_string(rng.Uniform(3))),
+                        Value::Int64(rng.UniformInt(-2, 2)),
+                        Value::Double(static_cast<double>(rng.Uniform(3)) /
+                                      2.0),
+                        Value::Double(static_cast<double>(rng.Uniform(40))),
+                        Value::Double(rng.UniformDouble(-5.0, 5.0)),
+                        Value::Int64(rng.UniformInt(0, 9))})
+            .ok());
+  }
+  return table;
+}
+
+TEST(LayoutDifferentialTest, EntityMajorMatchesRowOrder) {
+  Rng rng(1507);
+  int64_t multi_atom = 0, exact = 0, early_rejects = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const int entities = static_cast<int>(rng.UniformInt(1, 6));
+    Table table = LayoutTable(rng, entities);
+    EntityIndex index = EntityIndex::Build(table);
+    const Schema& schema = table.schema();
+
+    // L from a real query: a random filter and criterion, DESC or ASC,
+    // k up to two past the entity count.
+    TopKQuery q;
+    if (rng.Uniform(3) != 0) {
+      q.predicate = Predicate::Atom(schema.FieldIndex("s"),
+                                    Value::String("v"));
+    }
+    static const AggFn kAggs[] = {AggFn::kMax, AggFn::kSum, AggFn::kAvg,
+                                  AggFn::kMin, AggFn::kCount, AggFn::kNone};
+    q.agg = kAggs[rng.Uniform(6)];
+    const int x = schema.FieldIndex("x"), y = schema.FieldIndex("y");
+    q.expr = q.agg == AggFn::kSum && rng.Uniform(2) ? RankExpr::Add(x, y)
+                                                     : RankExpr::Column(x);
+    q.order = rng.Uniform(4) == 0 ? SortOrder::kAsc : SortOrder::kDesc;
+    q.k = static_cast<int>(rng.UniformInt(1, entities + 2));
+    Executor ex;
+    auto executed = ex.Execute(table, q, ExecContext{});
+    ASSERT_TRUE(executed.ok());
+    TopKList list = *std::move(executed);
+    if (list.empty()) list.Append("e0", 1.0);
+    switch (rng.Uniform(6)) {
+      case 0:  // an entity R lacks
+        list.Append("ghost", list.entries().back().value);
+        break;
+      case 1:  // a duplicate entity
+        list.Append(list.entries().front().entity,
+                    list.entries().back().value);
+        break;
+      default:
+        break;
+    }
+
+    const bool sampled = rng.Uniform(2) == 0;
+    std::vector<RowId> sample;
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      if (rng.Uniform(3) != 0) sample.push_back(static_cast<RowId>(r));
+    }
+    const std::vector<RowId>* sample_rows = sampled ? &sample : nullptr;
+    auto rp = RPrime::Build(table, index, list, sample_rows);
+    ASSERT_TRUE(rp.ok());
+    RowOrderRPrime row_order(table, index, list, sample_rows);
+    ASSERT_EQ(rp->num_rows(), row_order.num_rows());
+
+    static const double kRatios[] = {0.2, 0.5, 0.8, 1.0};
+    PaleoOptions options;
+    options.coverage_ratio = sampled ? kRatios[rng.Uniform(4)] : 1.0;
+    options.max_predicate_size = static_cast<int>(rng.UniformInt(1, 3));
+    options.mine_range_predicates = rng.Uniform(2) == 0;
+    options.include_empty_predicate = rng.Uniform(2) == 0;
+    options.enable_min_count = true;
+    SCOPED_TRACE("iter " + std::to_string(iter) +
+                 (sampled ? " sampled" : " complete") + " ratio " +
+                 std::to_string(options.coverage_ratio) + "\n" +
+                 list.ToString());
+
+    auto got = PredicateMiner(*rp, options).Mine();
+    ASSERT_TRUE(got.ok());
+    MiningResult want = ReferenceMineRowOrder(row_order, options, *got);
+    ASSERT_EQ(got->predicates.size(), want.predicates.size());
+    for (size_t i = 0; i < got->predicates.size(); ++i) {
+      const MinedPredicate& a = got->predicates[i];
+      const MinedPredicate& b = want.predicates[i];
+      EXPECT_TRUE(a.predicate == b.predicate)
+          << i << ": " << a.predicate.ToSql(schema) << " vs "
+          << b.predicate.ToSql(schema);
+      EXPECT_EQ(a.group_id, b.group_id) << i;
+      EXPECT_EQ(a.covered_entities, b.covered_entities) << i;
+    }
+    ASSERT_EQ(got->groups.size(), want.groups.size());
+    for (size_t g = 0; g < got->groups.size(); ++g) {
+      EXPECT_EQ(GlobalRows(*rp, got->groups[g].rows),
+                GlobalRows(row_order, want.groups[g].rows))
+          << "group " << g;
+      EXPECT_EQ(got->groups[g].predicate_ids, want.groups[g].predicate_ids);
+      EXPECT_EQ(got->groups[g].covered_entities,
+                want.groups[g].covered_entities);
+      EXPECT_EQ(got->groups[g].coverage, want.groups[g].coverage);
+    }
+    EXPECT_EQ(got->predicates_by_size, want.predicates_by_size);
+    EXPECT_LE(got->early_rejects, got->extensions);
+    early_rejects += got->early_rejects;
+    if (got->predicates_by_size.size() > 2) {
+      multi_atom += got->predicates_by_size[2];
+    }
+
+    for (bool exhaustive : {false, true}) {
+      RankingFinder finder(*rp, nullptr, options);
+      auto rankings =
+          finder.Find(got->groups, list, !sampled, nullptr, exhaustive);
+      ASSERT_TRUE(rankings.ok());
+      Reference ref(row_order, options, list, !sampled);
+      ExpectSameRankings(*rankings, ref.Find(want.groups, exhaustive));
+      exact += ref.exact_seen;
+    }
+    if (HasFailure()) break;
+  }
+  // The generator must reach multi-atom conjunctions, exact criteria
+  // and rejected extensions.
+  EXPECT_GT(multi_atom, 200);
+  EXPECT_GT(exact, 50);
+  EXPECT_GT(early_rejects, 200);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datagen/traffic_gen.h"
 #include "paleo/rprime.h"
 
@@ -127,6 +129,80 @@ TEST(RPrimeTest, EmptyInputIsRejected) {
   EXPECT_TRUE(RPrime::Build(f.table, f.index, TopKList())
                   .status()
                   .IsInvalidArgument());
+}
+
+
+/// Checks the entity-major layout: contiguous segments in L order,
+/// global rows ascending within each, offsets matching the counts.
+void ExpectEntityMajor(const RPrime& rp) {
+  const std::vector<RowId>& begin = rp.entity_begin();
+  const size_t m = static_cast<size_t>(rp.num_entities());
+  ASSERT_EQ(begin.size(), m + 1);
+  EXPECT_EQ(begin[0], 0u);
+  EXPECT_EQ(begin[m], rp.num_rows());
+  for (size_t e = 0; e < m; ++e) {
+    ASSERT_LE(begin[e], begin[e + 1]);
+    EXPECT_EQ(static_cast<int64_t>(begin[e + 1] - begin[e]),
+              rp.entity_row_counts()[e]);
+    for (RowId r = begin[e]; r < begin[e + 1]; ++r) {
+      EXPECT_EQ(rp.row_entity()[r], e);
+      EXPECT_EQ(rp.table().entity_column().StringAt(r),
+                rp.entity_names()[e]);
+      if (r > begin[e]) {
+        EXPECT_LT(rp.GlobalRow(r - 1), rp.GlobalRow(r));
+      }
+    }
+  }
+}
+
+TEST(RPrimeTest, RowsAreEntityMajorInListOrder) {
+  Fixture f = Fixture::Make();
+  // Reverse list order: segments follow L, not the base relation.
+  TopKList list;
+  list.Append("Jack Stiles", 586);
+  list.Append("Richard Fox", 596);
+  list.Append("Ghost Person", 590);
+  list.Append("John Smith", 654);
+  list.Append("Lara Ellis", 784);
+  auto rp = RPrime::Build(f.table, f.index, list);
+  ASSERT_TRUE(rp.ok());
+  ExpectEntityMajor(*rp);
+  EXPECT_EQ(rp->entity_begin()[3], rp->entity_begin()[2]);  // no rows
+  EXPECT_EQ(rp->table().entity_column().StringAt(0), "Jack Stiles");
+  EXPECT_EQ(rp->entity_row_counts()[0], 2);
+}
+
+TEST(RPrimeTest, SampleRestrictionKeepsTheLayout) {
+  Fixture f = Fixture::Make();
+  std::vector<RowId> sample = {0, 1, 5, 7};
+  auto rp = RPrime::Build(f.table, f.index, PaperList(), &sample);
+  ASSERT_TRUE(rp.ok());
+  ExpectEntityMajor(*rp);
+  EXPECT_EQ(rp->num_rows(), sample.size());
+}
+
+TEST(RPrimeTest, UnsortedSampleIsRejected) {
+  Fixture f = Fixture::Make();
+  // Probing a shuffled sample by binary search would drop rows of R'.
+  std::vector<RowId> shuffled = {7, 0, 5, 2, 4, 1};
+  EXPECT_TRUE(RPrime::Build(f.table, f.index, PaperList(), &shuffled)
+                  .status()
+                  .IsInvalidArgument());
+
+  std::vector<RowId> sorted = shuffled;
+  std::sort(sorted.begin(), sorted.end());
+  auto rp = RPrime::Build(f.table, f.index, PaperList(), &sorted);
+  ASSERT_TRUE(rp.ok());
+  std::vector<RowId> globals;
+  for (size_t r = 0; r < rp->num_rows(); ++r) {
+    globals.push_back(rp->GlobalRow(static_cast<RowId>(r)));
+  }
+  std::sort(globals.begin(), globals.end());
+  EXPECT_EQ(globals, sorted);  // every sampled row belongs to L
+
+  // Repeated ids are non-decreasing, so they are accepted.
+  std::vector<RowId> repeated = {0, 0, 5};
+  EXPECT_TRUE(RPrime::Build(f.table, f.index, PaperList(), &repeated).ok());
 }
 
 }  // namespace

@@ -142,6 +142,32 @@ TEST_F(RunRequestTest, CoverageOverrideForwardedByBothPaths) {
             Fingerprint(*via_override, table().schema()));
 }
 
+TEST_F(RunRequestTest, UnsortedSampleIsInvalidArgument) {
+  Paleo paleo(&table(), PaleoOptions{});
+  const WorkloadQuery& wq = workload()[0];
+  auto sample = Sampler::UniformPerEntity(
+      paleo.index(), wq.list.DistinctEntities(), 0.3, /*seed=*/7);
+  ASSERT_TRUE(sample.ok());
+  ASSERT_GE(sample->size(), 2u);
+
+  // The sorted sample runs on every sampled row: all belong to L.
+  RunRequest request;
+  request.input = &wq.list;
+  request.sample_rows = &*sample;
+  request.sample_fraction = 0.3;
+  auto sorted = paleo.Run(request);
+  ASSERT_TRUE(sorted.ok());
+  EXPECT_EQ(sorted->rprime_rows, static_cast<int64_t>(sample->size()));
+
+  // The same rows out of order get a Status, not a smaller R'.
+  std::vector<RowId> shuffled(sample->rbegin(), sample->rend());
+  request.sample_rows = &shuffled;
+  auto report = paleo.Run(request);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsInvalidArgument())
+      << report.status().ToString();
+}
+
 TEST_F(RunRequestTest, ParallelValidationMatchesSequentialFingerprint) {
   // The parallel rank-order-commit schedule must not change any
   // fingerprinted field relative to a plain sequential run.
