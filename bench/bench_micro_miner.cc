@@ -130,34 +130,5 @@ void BM_RankingPerTupleSet_Ungrouped(benchmark::State& state) {
 }
 BENCHMARK(BM_RankingPerTupleSet_Ungrouped);
 
-void BM_TupleSetIntersection(benchmark::State& state) {
-  // Sorted-vector intersection at miner-realistic sizes.
-  const int64_t n = state.range(0);
-  TupleSet a, b;
-  Rng rng(3);
-  for (int64_t i = 0; i < n; ++i) {
-    if (rng.Bernoulli(0.5)) a.push_back(static_cast<RowId>(i));
-    if (rng.Bernoulli(0.3)) b.push_back(static_cast<RowId>(i));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectSorted(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(a.size() + b.size()));
-}
-BENCHMARK(BM_TupleSetIntersection)->Arg(1000)->Arg(100000);
-
-void BM_TupleSetIntersectionSkewed(benchmark::State& state) {
-  // Galloping path: |a| << |b|.
-  const int64_t n = state.range(0);
-  TupleSet a, b;
-  for (int64_t i = 0; i < n; ++i) b.push_back(static_cast<RowId>(i));
-  for (int64_t i = 0; i < n; i += 997) a.push_back(static_cast<RowId>(i));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntersectSorted(a, b));
-  }
-}
-BENCHMARK(BM_TupleSetIntersectionSkewed)->Arg(100000);
-
 }  // namespace
 }  // namespace paleo

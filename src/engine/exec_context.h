@@ -16,6 +16,7 @@
 #define PALEO_ENGINE_EXEC_CONTEXT_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace paleo {
 
@@ -23,6 +24,31 @@ class AtomSelectionCache;
 class RunBudget;
 class ThreadPool;
 class ThresholdMonitor;
+
+/// What a threshold-monitored scan must settle (engine/threshold_monitor.h).
+enum class ThresholdGoal : uint8_t {
+  /// Refute once the result provably cannot equal the monitor's list:
+  /// ranked validation and the second phase of smart validation, where
+  /// only the accept/reject verdict is used.
+  kAccept,
+  /// Refute once the result provably has k rows and an entity Jaccard
+  /// with the list below the monitor's tau: the first phase of smart
+  /// validation, which also needs to know whether the candidate becomes
+  /// the first-match query. Falls back to kAccept when no result can
+  /// reach tau.
+  kFirstMatch,
+};
+
+/// Which rule refuted a threshold-monitored execution.
+enum class RefutationRule : uint8_t {
+  kNone,
+  /// The exact pre-pass over the list's own rows, before any chunk.
+  kPrePass,
+  /// The first-match goal's count of foreign groups.
+  kFirstMatch,
+  /// The acceptance goal's bounds on a foreign group.
+  kBounds,
+};
 
 /// \brief Per-call execution parameters for Executor scans.
 struct ExecContext {
@@ -57,13 +83,24 @@ struct ExecContext {
   /// Threshold-refutation targets for validation executions
   /// (engine/threshold_monitor.h). When set (and applicable to the
   /// query: grouped aggregate, matching k and order, multi-chunk full
-  /// scan), the scan maintains per-group bounds between chunks and is
-  /// aborted with Status::QueryRefuted the instant the result provably
-  /// cannot equal the monitor's input list. nullptr (the default)
+  /// scan), the execution first evaluates the candidate over the
+  /// list's own rows, then maintains per-group bounds between chunks,
+  /// and is aborted with Status::QueryRefuted the instant the result
+  /// provably misses `threshold_goal`. nullptr (the default)
   /// always computes the full result. Soundness contract: a refuted
   /// execution's full result would NOT have been accepted, so callers
-  /// treat refutation as an ordinary rejection.
+  /// treat refutation as an ordinary rejection (and, under the
+  /// first-match goal, as a result below the monitor's Jaccard
+  /// threshold).
   const ThresholdMonitor* threshold = nullptr;
+
+  /// What the monitor's refutation must prove; see ThresholdGoal.
+  ThresholdGoal threshold_goal = ThresholdGoal::kAccept;
+
+  /// Optional out-parameter: set to the refuting rule when the call
+  /// returns Status::QueryRefuted, untouched otherwise. Per call, so a
+  /// context that carries it is not shared across concurrent calls.
+  RefutationRule* refuted_by = nullptr;
 };
 
 }  // namespace paleo

@@ -583,12 +583,22 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
     // Threshold pruning engages only on grouped multi-chunk full scans
     // whose shape matches the monitor's targets: single-chunk tables
     // have no "remaining chunks" to bound against, so the check could
-    // never fire before the scan finished anyway.
+    // never fire before the scan finished anyway. The state's pre-pass
+    // over L's rows may refute before any chunk is claimed; a state
+    // that cannot refute anything is dropped.
     std::unique_ptr<ThresholdState> tstate;
     if (ctx.threshold != nullptr && mode == ScanMode::kGroups &&
         num_chunks > 1 && ctx.threshold->AppliesTo(query)) {
       tstate = std::make_unique<ThresholdState>(ctx.threshold, table, view,
-                                                query);
+                                                query, bound,
+                                                ctx.threshold_goal);
+      if (!tstate->refuted() && !tstate->armed()) tstate.reset();
+    }
+    if (tstate != nullptr && tstate->refuted() && ctx.budget != nullptr) {
+      // The pre-pass refuted before any chunk: poll the budget once,
+      // as the scan would, so an interrupt still outranks refutation.
+      const TerminationReason reason = ctx.budget->Check();
+      if (reason != TerminationReason::kCompleted) return interrupted(reason);
     }
     std::vector<ChunkOutcome> outcomes(num_chunks);
     const TerminationReason scan_reason = RunChunkScan(
@@ -625,9 +635,11 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
         stats_.rows_saved.fetch_add(static_cast<int64_t>(saved),
                                     std::memory_order_relaxed);
         obs::Inc(metrics_.rows_saved, static_cast<int64_t>(saved));
+        const RefutationRule rule = tstate->refuted_by();
+        if (ctx.refuted_by != nullptr) *ctx.refuted_by = rule;
         return Status::QueryRefuted(
-            "threshold bounds prove the candidate cannot reproduce the "
-            "target list");
+            std::string("threshold monitor refuted the candidate (") +
+            RefutationRuleName(rule) + ")");
       }
     }
 

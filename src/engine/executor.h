@@ -98,9 +98,9 @@ class Executor {
     /// Chunk-granular scan morsels actually processed (skipped chunks
     /// excluded); equals chunks-per-table on unselective scans.
     std::atomic<int64_t> morsels{0};
-    /// Executions aborted mid-scan by threshold refutation
-    /// (ExecContext::threshold): the running per-group bounds proved
-    /// the result cannot equal the monitor's target list.
+    /// Executions aborted by threshold refutation
+    /// (ExecContext::threshold): the monitor's pre-pass or running
+    /// per-group bounds proved the result misses the call's goal.
     /// relaxed: independent event counter, no ordering with other
     /// memory needed (same contract as every counter above).
     std::atomic<int64_t> executions_aborted_early{0};

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "engine/predicate.h"
+#include "index/entity_index.h"
 #include "storage/zone_map.h"
 
 namespace paleo {
@@ -94,20 +96,27 @@ void ExprBounds(const RankExpr& expr, const Table& table, const Chunk& chunk,
   *hi = std::max(std::max(c1, c2), std::max(c3, c4));
 }
 
-/// True when every row value of the ranking expression is an integer
-/// (exactly representable in double at these magnitudes): all operand
-/// columns are int64, and add/mul preserve integrality.
-bool IsIntegerExpr(const RankExpr& expr, const Table& table) {
-  if (table.column(expr.column_a()).type() != DataType::kInt64) return false;
-  if (expr.is_single_column()) return true;
-  return table.column(expr.column_b()).type() == DataType::kInt64;
-}
-
 }  // namespace
 
+const char* RefutationRuleName(RefutationRule rule) {
+  switch (rule) {
+    case RefutationRule::kPrePass:
+      return "pre_pass";
+    case RefutationRule::kFirstMatch:
+      return "first_match";
+    case RefutationRule::kBounds:
+      return "bounds";
+    case RefutationRule::kNone:
+      break;
+  }
+  return "";
+}
+
 ThresholdMonitor::ThresholdMonitor(const Table& table, const TopKList& input,
-                                   SortOrder order, double rel_eps)
-    : order_(order), k_(input.size()), slack_(SlackFor(rel_eps)) {
+                                   SortOrder order, double rel_eps,
+                                   double first_match_tau,
+                                   const EntityIndex* index)
+    : order_(order), slack_(SlackFor(rel_eps)) {
   if (input.empty()) return;
   // Values must be sorted consistently with the candidate order; an
   // unsorted L can never be produced by a grouped top-k query, so
@@ -120,6 +129,8 @@ ThresholdMonitor::ThresholdMonitor(const Table& table, const TopKList& input,
     if (!ok) return;
   }
   const StringDictionary& dict = *table.entity_column().dict();
+  is_target_.assign(dict.size(), 0);
+  std::vector<uint32_t> slot_of(dict.size(), 0);
   targets_.reserve(entries.size());
   for (const TopKEntry& e : entries) {
     const uint32_t code = dict.Lookup(e.entity);
@@ -127,27 +138,36 @@ ThresholdMonitor::ThresholdMonitor(const Table& table, const TopKList& input,
     // foreign inputs) or duplicated in L (kNone-style lists) means no
     // grouped candidate can ever be accepted; deactivate rather than
     // special-case.
-    if (code == StringDictionary::kInvalidCode ||
-        targets_.count(code) != 0) {
+    if (code == StringDictionary::kInvalidCode || is_target_[code] != 0) {
       targets_.clear();
+      is_target_.clear();
       return;
     }
-    targets_.emplace(code, e.value);
-  }
-  worst_value_ = entries.back().value;
-  is_target_.assign(dict.size(), 0);
-  for (const auto& [code, value] : targets_) {
-    (void)value;
     is_target_[code] = 1;
+    slot_of[code] = static_cast<uint32_t>(targets_.size());
+    targets_.push_back(Target{code, e.value, {}});
   }
-  // Tie-break order against L's k-th entry, for the integer tie-
-  // displacement rule (see ThresholdState). One pass over the
-  // dictionary per validation run; the per-chunk probes are bitmap
-  // reads.
-  const std::string& worst_name = entries.back().entity;
-  precedes_worst_.assign(dict.size(), 0);
-  for (uint32_t code = 0; code < dict.size(); ++code) {
-    precedes_worst_[code] = dict.Get(code) < worst_name ? 1 : 0;
+  // L's provenance rows, ascending per entity.
+  if (index != nullptr) {
+    for (Target& t : targets_) t.rows = index->Lookup(dict.Get(t.code));
+  } else {
+    const std::vector<uint32_t>& codes = table.entity_column().codes();
+    for (size_t r = 0; r < codes.size(); ++r) {
+      if (is_target_[codes[r]] != 0) {
+        targets_[slot_of[codes[r]]].rows.push_back(static_cast<RowId>(r));
+      }
+    }
+  }
+  // c_tau with EntityJaccard's arithmetic: a k-row result sharing c
+  // entities with L (k distinct entities) has intersection c and union
+  // 2k - c.
+  const size_t k = targets_.size();
+  for (size_t c = 0; c <= k; ++c) {
+    if (static_cast<double>(c) / static_cast<double>(2 * k - c) >=
+        first_match_tau) {
+      first_match_count_ = static_cast<int>(c);
+      break;
+    }
   }
   active_ = true;
 }
@@ -187,8 +207,11 @@ void ThresholdMonitor::ReleaseScratch(
 
 ThresholdState::ThresholdState(const ThresholdMonitor* monitor,
                                const Table& table, const TableView& view,
-                               const TopKQuery& query)
+                               const TopKQuery& query,
+                               const BoundPredicate& bound,
+                               ThresholdGoal goal)
     : monitor_(monitor),
+      dict_(table.entity_column().dict().get()),
       agg_(query.agg),
       desc_(query.order == SortOrder::kDesc) {
   const size_t num_chunks = view.num_chunks();
@@ -208,25 +231,117 @@ ThresholdState::ThresholdState(const ThresholdMonitor* monitor,
     rem_his_.insert(chunk_hi_[i]);
     rem_los_.insert(chunk_lo_[i]);
   }
-  scratch_ = monitor->AcquireScratch(table.entity_column().dict()->size());
-  foreign_stat_ = desc_ ? -kInf : kInf;
-  // Integer tie-displacement rule (see the header): only for the
-  // aggregates whose beat-side bound is exact AND changes only when
-  // the group is touched (so the inline merge-loop check is complete):
-  // MAX and COUNT under desc (running lb), MIN under asc (running ub).
-  // COUNT is integral regardless of the expression. Requires the
-  // acceptance tolerance to be far below the integer gap at the cut's
-  // magnitude, so value-closeness collapses to exact equality.
-  const bool integral =
-      agg_ == AggFn::kCount || IsIntegerExpr(query.expr, table);
-  const bool exact_side = desc_
-                              ? (agg_ == AggFn::kMax || agg_ == AggFn::kCount)
-                              : agg_ == AggFn::kMin;
-  const double worst = monitor->worst_value();
-  int_tie_ = monitor->active() && integral && exact_side &&
-             monitor->slack() * std::max(std::abs(worst), 1.0) < 0.25;
-  tie_lo_ = worst - 0.5;
-  tie_hi_ = worst + 0.5;
+  InitGoalLocked(table, query, bound, goal);
+  if (armed_) {
+    scratch_ = monitor->AcquireScratch(dict_->size());
+    foreign_stat_ = desc_ ? -kInf : kInf;
+  }
+}
+
+void ThresholdState::InitGoalLocked(const Table& table,
+                                    const TopKQuery& query,
+                                    const BoundPredicate& bound,
+                                    ThresholdGoal goal) {
+  const std::vector<ThresholdMonitor::Target>& targets = monitor_->targets();
+  const size_t k = targets.size();
+  const int c_tau = monitor_->first_match_count();
+  if (goal == ThresholdGoal::kFirstMatch) {
+    if (c_tau == 0) return;  // every result reaches tau
+    if (c_tau < 0) goal = ThresholdGoal::kAccept;  // none can
+  }
+
+  // Exact pre-pass: each L entity's value under the candidate, folded
+  // in the executor's canonical order (row order within a chunk, chunk
+  // partials merged in chunk order), so it equals the full execution's.
+  const size_t chunk_rows = table.chunk_rows();
+  std::vector<AggState> exact(k);
+  std::vector<size_t> with_rows;
+  for (size_t i = 0; i < k; ++i) {
+    AggState part;
+    size_t part_chunk = 0;
+    auto fold = [&]() {
+      if (part.count == 0) return;
+      if (exact[i].count == 0) {
+        exact[i] = part;
+      } else {
+        exact[i].Merge(part);
+      }
+      part = AggState{};
+    };
+    for (RowId r : targets[i].rows) {
+      if (!bound.Matches(r)) continue;
+      const double v = query.expr.Eval(table, r);
+      // NaN leaves executor order undefined around L's entities.
+      if (std::isnan(v)) return;
+      if (r / chunk_rows != part_chunk) {
+        fold();
+        part_chunk = r / chunk_rows;
+      }
+      part.Add(v);
+    }
+    fold();
+    if (exact[i].count > 0) with_rows.push_back(i);
+  }
+
+  size_t cut_rank = k;  // e* is the cut_rank-th L entity with rows
+  if (goal == ThresholdGoal::kAccept) {
+    // An accepted result holds every L entity at its target value.
+    for (size_t i = 0; i < k; ++i) {
+      const double target = targets[i].value;
+      if (exact[i].count == 0) {
+        RefuteLocked(RefutationRule::kPrePass);
+        return;
+      }
+      const double v = exact[i].Finish(agg_);
+      if (Above(v, target, monitor_->slack()) ||
+          Above(target, v, monitor_->slack())) {
+        RefuteLocked(RefutationRule::kPrePass);
+        return;
+      }
+    }
+    scan_rule_ = RefutationRule::kBounds;
+  } else {
+    scan_rule_ = RefutationRule::kFirstMatch;
+    cut_rank = static_cast<size_t>(c_tau);
+    if (with_rows.size() < cut_rank) {
+      // Fewer than c_tau L entities can appear at all: k - c' touched
+      // foreign groups fill a k-row result short of tau.
+      need_touched_ = k - with_rows.size();
+      armed_ = true;
+      return;
+    }
+  }
+
+  // e*: the cut_rank-th L entity with rows in executor order (value,
+  // then name); k - cut_rank + 1 foreign groups ahead of it refute.
+  auto before = [&](size_t a, size_t b) {
+    const double va = exact[a].Finish(agg_);
+    const double vb = exact[b].Finish(agg_);
+    if (va != vb) return desc_ ? va > vb : va < vb;
+    return dict_->Get(targets[a].code) < dict_->Get(targets[b].code);
+  };
+  auto nth = with_rows.begin() + static_cast<ptrdiff_t>(cut_rank - 1);
+  std::nth_element(with_rows.begin(), nth, with_rows.end(), before);
+  cut_value_ = exact[*nth].Finish(agg_);
+  cut_code_ = targets[*nth].code;
+  need_ahead_ = k - cut_rank + 1;
+
+  const bool exact_side = desc_ ? (agg_ == AggFn::kMax || agg_ == AggFn::kCount)
+                                : agg_ == AggFn::kMin;
+  // SUM's beat-side bound is the running sum exactly when no remaining
+  // chunk can pull it the other way.
+  const bool sum_side = agg_ == AggFn::kSum &&
+                        (desc_ ? rem_neg_ == 0.0 : rem_pos_ == 0.0);
+  if (exact_side) {
+    mode_ = CutMode::kExact;
+  } else if (sum_side) {
+    mode_ = CutMode::kSum;
+  } else if (need_ahead_ == 1 && agg_ != AggFn::kAvg) {
+    mode_ = CutMode::kTracker;
+  } else {
+    return;  // no foreign bound usable for this goal
+  }
+  armed_ = true;
 }
 
 ThresholdState::~ThresholdState() {
@@ -236,6 +351,17 @@ ThresholdState::~ThresholdState() {
     scratch = std::move(scratch_);
   }
   monitor_->ReleaseScratch(std::move(scratch));
+}
+
+RefutationRule ThresholdState::refuted_by() const {
+  MutexLock lock(mutex_);
+  return refuted_by_;
+}
+
+void ThresholdState::RefuteLocked(RefutationRule rule) {
+  if (refuted_by_ == RefutationRule::kNone) refuted_by_ = rule;
+  // relaxed: see refuted(); the flag is advisory and sticky.
+  refuted_.store(true, std::memory_order_relaxed);
 }
 
 void ThresholdState::RetireChunkLocked(size_t chunk_index) {
@@ -254,7 +380,36 @@ void ThresholdState::NoteChunkSkipped(size_t chunk_index) {
   RetireChunkLocked(chunk_index);
   // Dropping a chunk only tightens bounds: seen groups may now be
   // refutable even though no new rows arrived.
-  CheckLocked();
+  if (mode_ == CutMode::kTracker) CheckLocked();
+}
+
+double ThresholdState::Stat(const AggState& s) const {
+  switch (agg_) {
+    case AggFn::kMax:
+      return s.max;
+    case AggFn::kMin:
+      return s.min;
+    case AggFn::kSum:
+      return s.sum;
+    case AggFn::kCount:
+      return static_cast<double>(s.count);
+    case AggFn::kAvg:
+    case AggFn::kNone:
+      break;
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+bool ThresholdState::AheadOfCut(double stat, uint32_t code) const {
+  if (mode_ == CutMode::kSum) {
+    return desc_ ? Above(stat, cut_value_, monitor_->slack())
+                 : Above(cut_value_, stat, monitor_->slack());
+  }
+  // kExact: the group's final value is at least (desc) / at most (asc)
+  // `stat`, exactly; an exact tie is broken by name, as the executor
+  // does.
+  if (stat != cut_value_) return desc_ ? stat > cut_value_ : stat < cut_value_;
+  return dict_->Get(code) < dict_->Get(cut_code_);
 }
 
 void ThresholdState::NoteChunk(size_t chunk_index,
@@ -262,63 +417,47 @@ void ThresholdState::NoteChunk(size_t chunk_index,
                                const std::vector<AggState>& partials) {
   MutexLock lock(mutex_);
   RetireChunkLocked(chunk_index);
+  // relaxed: see refuted(); a refuted state needs no more merging.
+  if (refuted_.load(std::memory_order_relaxed)) return;
   const uint32_t gen = scratch_->gen;
+  const bool incremental =
+      mode_ == CutMode::kExact || mode_ == CutMode::kSum;
   for (size_t i = 0; i < touched.size(); ++i) {
     const uint32_t code = touched[i];
+    // L's groups are settled by the pre-pass; only foreign ones count.
+    if (monitor_->IsTarget(code)) continue;
     AggState& g = scratch_->groups[code];
-    if (scratch_->stamps[code] != gen) {
+    const bool fresh = scratch_->stamps[code] != gen;
+    if (fresh) {
       scratch_->stamps[code] = gen;
       g = AggState{};
       scratch_->touched.push_back(code);
+      if (need_touched_ > 0 && ++touched_ >= need_touched_) {
+        RefuteLocked(scan_rule_);
+        return;
+      }
     }
+    if (mode_ == CutMode::kNone) continue;  // counting touches only
+    const double before = Stat(g);
     // Merge order is morsel completion order, NOT the canonical chunk
     // order — fine for bounds (set semantics), absorbed by the slack
     // for float wobble.
     g.Merge(partials[i]);
-    if (!monitor_->IsTarget(code)) {
-      // Fold the group's refutation statistic into the foreign
-      // extremum tracker (see the header note on when this is exact
-      // vs merely conservative).
-      double stat = 0.0;
-      switch (agg_) {
-        case AggFn::kMax:
-          stat = g.max;
-          break;
-        case AggFn::kMin:
-          stat = g.min;
-          break;
-        case AggFn::kSum:
-          stat = g.sum;
-          break;
-        case AggFn::kCount:
-          stat = static_cast<double>(g.count);
-          break;
-        case AggFn::kAvg:
-        case AggFn::kNone:
-          continue;
-      }
-      foreign_stat_ = desc_ ? std::max(foreign_stat_, stat)
-                            : std::min(foreign_stat_, stat);
-      // Integer tie displacement: under desc the group's final value f
-      // satisfies f >= stat (exact, monotone); if stat clears the cut
-      // by more than the integer half-gap, f beats L's k-th entry by
-      // value, and if it lands inside the half-gap (an exact tie after
-      // tolerance collapse) while the group's name precedes the k-th
-      // entry's, f beats it on the executor's name tie-break. Either
-      // way a foreign entity enters the top-k, so no result can equal
-      // L. Mirrored for asc (f <= stat).
-      if (int_tie_ &&
-          (desc_ ? (stat > tie_hi_ ||
-                    (stat > tie_lo_ && monitor_->PrecedesWorst(code)))
-                 : (stat < tie_lo_ ||
-                    (stat < tie_hi_ && monitor_->PrecedesWorst(code))))) {
-        // relaxed: see refuted().
-        refuted_.store(true, std::memory_order_relaxed);
+    const double stat = Stat(g);
+    if (incremental) {
+      // The statistic only moves toward the cut's beat side, so a
+      // group is counted once: when it first crosses.
+      if (AheadOfCut(stat, code) && (fresh || !AheadOfCut(before, code)) &&
+          ++ahead_ >= need_ahead_) {
+        RefuteLocked(scan_rule_);
         return;
       }
+    } else if (mode_ == CutMode::kTracker) {
+      foreign_stat_ = desc_ ? std::max(foreign_stat_, stat)
+                            : std::min(foreign_stat_, stat);
     }
   }
-  CheckLocked();
+  if (mode_ == CutMode::kTracker) CheckLocked();
 }
 
 void ThresholdState::BoundsLocked(const AggState& s, double rem_hi,
@@ -359,59 +498,37 @@ void ThresholdState::BoundsLocked(const AggState& s, double rem_hi,
 }
 
 void ThresholdState::CheckLocked() {
+  // relaxed: see refuted().
   if (refuted_.load(std::memory_order_relaxed)) return;
   const double rem_hi = rem_his_.empty() ? -kInf : *rem_his_.rbegin();
   const double rem_lo = rem_los_.empty() ? kInf : *rem_los_.begin();
   const double slack = monitor_->slack();
-  // In-L groups: k of them, checked exactly every time. A target the
-  // scan has not touched yet has no running value to test (its bounds
-  // still span the whole remaining potential).
-  for (const auto& [code, target] : monitor_->targets()) {
-    if (scratch_->stamps[code] != scratch_->gen) continue;
-    const AggState& s = scratch_->groups[code];
-    double lb;
-    double ub;
-    BoundsLocked(s, rem_hi, rem_lo, &lb, &ub);
-    // An entity of L must finish exactly at its target value.
-    if (Above(lb, target, slack) || Above(target, ub, slack)) {
-      // relaxed: see refuted(); the flag is advisory and sticky.
-      refuted_.store(true, std::memory_order_relaxed);
-      return;
-    }
-  }
-  // Foreign groups: O(1) on the extremum tracker. Only when the
-  // tracker's (possibly stale) bound says some foreign group might
-  // provably beat L's cut do we pay the exact per-group pass. For the
-  // per-group-monotone statistics the tracker is exact and the verify
-  // pass refutes on its first iteration; for the rest a no-refute
-  // verify tightens the tracker, so repeated triggers need the bound
-  // to move again. NaN-poisoned statistics fail the comparison and
-  // trigger nothing (conservative).
-  const double worst = monitor_->worst_value();
+  // O(1) on the extremum tracker. Only when the tracker's (possibly
+  // stale) bound says some foreign group might provably beat the cut
+  // do we pay the exact per-group pass; a no-refute pass tightens the
+  // tracker, so repeated triggers need the bound to move again.
+  // NaN-poisoned statistics fail the comparison and trigger nothing
+  // (conservative). Only the shapes whose bound moves on retirement
+  // reach here: MIN / SUM under desc, MAX / COUNT / SUM under asc.
+  const double cut = cut_value_;
   bool trigger = false;
   switch (agg_) {
     case AggFn::kMax:
-      trigger = desc_ ? Above(foreign_stat_, worst, slack)
-                      : Above(worst, std::max(foreign_stat_, rem_hi), slack);
+      trigger = Above(cut, std::max(foreign_stat_, rem_hi), slack);
       break;
     case AggFn::kMin:
-      trigger = desc_ ? Above(std::min(foreign_stat_, rem_lo), worst, slack)
-                      : Above(worst, foreign_stat_, slack);
+      trigger = Above(std::min(foreign_stat_, rem_lo), cut, slack);
       break;
     case AggFn::kSum:
-      trigger = desc_ ? Above(foreign_stat_ + rem_neg_, worst, slack)
-                      : Above(worst, foreign_stat_ + rem_pos_, slack);
+      trigger = desc_ ? Above(foreign_stat_ + rem_neg_, cut, slack)
+                      : Above(cut, foreign_stat_ + rem_pos_, slack);
       break;
     case AggFn::kCount:
-      trigger =
-          desc_ ? Above(foreign_stat_, worst, slack)
-                : Above(worst,
-                        foreign_stat_ + static_cast<double>(rem_rows_),
-                        slack);
+      trigger = Above(cut, foreign_stat_ + static_cast<double>(rem_rows_),
+                      slack);
       break;
     case AggFn::kAvg:
     case AggFn::kNone:
-      trigger = false;
       break;
   }
   if (trigger) VerifyForeignLocked(rem_hi, rem_lo);
@@ -419,39 +536,19 @@ void ThresholdState::CheckLocked() {
 
 void ThresholdState::VerifyForeignLocked(double rem_hi, double rem_lo) {
   const double slack = monitor_->slack();
-  const double worst = monitor_->worst_value();
   double tight = desc_ ? -kInf : kInf;
   for (uint32_t code : scratch_->touched) {
-    if (monitor_->IsTarget(code)) continue;
     const AggState& s = scratch_->groups[code];
     double lb;
     double ub;
     BoundsLocked(s, rem_hi, rem_lo, &lb, &ub);
-    // A foreign entity must not beat L's worst entry; NaN-poisoned
-    // bounds fail both comparisons and refute nothing (conservative).
-    if (desc_ ? Above(lb, worst, slack) : Above(worst, ub, slack)) {
-      // relaxed: see refuted(); the flag is advisory and sticky.
-      refuted_.store(true, std::memory_order_relaxed);
+    // NaN-poisoned bounds fail both comparisons and refute nothing
+    // (conservative).
+    if (desc_ ? Above(lb, cut_value_, slack) : Above(cut_value_, ub, slack)) {
+      RefuteLocked(scan_rule_);
       return;
     }
-    double stat = 0.0;
-    switch (agg_) {
-      case AggFn::kMax:
-        stat = s.max;
-        break;
-      case AggFn::kMin:
-        stat = s.min;
-        break;
-      case AggFn::kSum:
-        stat = s.sum;
-        break;
-      case AggFn::kCount:
-        stat = static_cast<double>(s.count);
-        break;
-      case AggFn::kAvg:
-      case AggFn::kNone:
-        continue;
-    }
+    const double stat = Stat(s);
     tight = desc_ ? std::max(tight, stat) : std::min(tight, stat);
   }
   foreign_stat_ = tight;

@@ -83,6 +83,14 @@ std::string ExplainReport(const ReverseEngineerReport& report,
   if (report.skip_events > 0) {
     out += Line("smart skips:", WithThousands(report.skip_events));
   }
+  if (report.executions_aborted_early > 0) {
+    out += Line("refuted by pre-pass:",
+                WithThousands(report.refuted_by_prepass));
+    out += Line("refuted by first-match goal:",
+                WithThousands(report.refuted_by_first_match));
+    out += Line("refuted by acceptance bounds:",
+                WithThousands(report.refuted_by_bounds));
+  }
 
   if (report.termination != TerminationReason::kCompleted) {
     out += Line("stopped early:",

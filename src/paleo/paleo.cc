@@ -238,7 +238,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
   obs::ScopedSpan validate_span(trace, "validate", run_span.id());
   Validator validator(*base_, executor, options, request.pool, metrics,
                       obs::TraceContext{trace, validate_span.id()},
-                      atom_cache.get());
+                      atom_cache.get(), &index_);
   ValidationOutcome outcome;
   if (report.termination == TerminationReason::kCompleted) {
     PALEO_ASSIGN_OR_RETURN(
@@ -259,6 +259,9 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
   report.speculative_executions = outcome.speculative_executions;
   report.skip_events = outcome.skip_events;
   report.executions_aborted_early = outcome.refuted_early;
+  report.refuted_by_prepass = outcome.refuted_by_prepass;
+  report.refuted_by_first_match = outcome.refuted_by_first_match;
+  report.refuted_by_bounds = outcome.refuted_by_bounds;
   report.timings.validation_ms = step_timer.ElapsedMillis();
   obs::Observe(metrics.step_validation_ms, report.timings.validation_ms);
   validate_span.AddAttr("executed", outcome.executions);
@@ -315,7 +318,7 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
     Validator deep_validator(
         *base_, executor, options, request.pool, metrics,
         obs::TraceContext{trace, deep_validate_span.id()},
-        atom_cache.get());
+        atom_cache.get(), &index_);
     ValidationOutcome retry;
     if (report.termination == TerminationReason::kCompleted) {
       PALEO_ASSIGN_OR_RETURN(
@@ -338,6 +341,9 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
     report.speculative_executions += retry.speculative_executions;
     report.skip_events += retry.skip_events;
     report.executions_aborted_early += retry.refuted_early;
+    report.refuted_by_prepass += retry.refuted_by_prepass;
+    report.refuted_by_first_match += retry.refuted_by_first_match;
+    report.refuted_by_bounds += retry.refuted_by_bounds;
     report.timings.validation_ms += step_timer.ElapsedMillis();
     obs::Observe(metrics.step_validation_ms, step_timer.ElapsedMillis());
     deep_validate_span.AddAttr("executed", retry.executions);

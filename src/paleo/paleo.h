@@ -98,6 +98,12 @@ struct ReverseEngineerReport {
   /// off.
   int64_t executions_aborted_early = 0;
   int64_t rows_saved = 0;
+  /// executions_aborted_early by the rule that refuted: the exact
+  /// pre-pass over L's rows, the first-match goal (smart validation's
+  /// first phase), and the acceptance goal's bounds during the scan.
+  int64_t refuted_by_prepass = 0;
+  int64_t refuted_by_first_match = 0;
+  int64_t refuted_by_bounds = 0;
 
   /// R' shape.
   int64_t rprime_rows = 0;

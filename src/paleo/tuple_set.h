@@ -19,18 +19,6 @@ namespace paleo {
 /// Sorted, duplicate-free vector of local row ids into R'.
 using TupleSet = std::vector<RowId>;
 
-/// Intersection of two sorted tuple sets (linear merge with galloping
-/// for skewed sizes).
-TupleSet IntersectSorted(const TupleSet& a, const TupleSet& b);
-
-/// Number of distinct entities (by local entity index) covered by the
-/// rows of `set`. `row_entity` maps local row -> entity index,
-/// `num_entities` bounds the indices; `scratch` must hold
-/// ceil(num_entities / 64) words and is cleared on entry.
-int CountCoveredEntities(const TupleSet& set,
-                         const std::vector<uint32_t>& row_entity,
-                         int num_entities, std::vector<uint64_t>* scratch);
-
 /// FNV-style hash of a tuple set (for grouping identical sets).
 uint64_t HashTupleSet(const TupleSet& set);
 

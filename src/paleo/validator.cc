@@ -4,6 +4,7 @@
 #include <future>
 #include <memory>
 #include <numeric>
+#include <string_view>
 #include <utility>
 
 #include "common/fault_points.h"
@@ -28,6 +29,28 @@ TerminationReason ExhaustionReason(const RunBudget* budget,
              : reason;
 }
 
+/// Tallies one refuted execution under the rule that refuted it, and
+/// names the rule on the execution's span.
+void CountRefutation(RefutationRule rule, ValidationOutcome* outcome,
+                     obs::ScopedSpan* span) {
+  ++outcome->refuted_early;
+  switch (rule) {
+    case RefutationRule::kPrePass:
+      ++outcome->refuted_by_prepass;
+      break;
+    case RefutationRule::kFirstMatch:
+      ++outcome->refuted_by_first_match;
+      break;
+    case RefutationRule::kBounds:
+      ++outcome->refuted_by_bounds;
+      break;
+    case RefutationRule::kNone:
+      break;  // the executor names the rule of every refutation
+  }
+  span->AddAttr("refuted_early", int64_t{1});
+  span->AddAttr("refuted_by", std::string_view(RefutationRuleName(rule)));
+}
+
 }  // namespace
 
 std::unique_ptr<ThresholdMonitor> Validator::MakeMonitor(
@@ -38,7 +61,8 @@ std::unique_ptr<ThresholdMonitor> Validator::MakeMonitor(
     return nullptr;
   }
   auto monitor = std::make_unique<ThresholdMonitor>(
-      base_, input, candidates.front().query.order, options_.rel_eps);
+      base_, input, candidates.front().query.order, options_.rel_eps,
+      options_.smart_jaccard_threshold, entity_index_);
   if (!monitor->active()) return nullptr;
   return monitor;
 }
@@ -66,11 +90,13 @@ StatusOr<ValidationOutcome> Validator::RankedValidation(
   obs::Inc(metrics_.validation_passes);
   const std::unique_ptr<ThresholdMonitor> monitor =
       MakeMonitor(candidates, input);
+  RefutationRule refuted_by = RefutationRule::kNone;
   const ExecContext exec_ctx{.budget = budget,
                              .cache = cache_,
                              .pool = pool_,
                              .scan_threads = options_.scan_threads,
-                             .threshold = monitor.get()};
+                             .threshold = monitor.get(),
+                             .refuted_by = &refuted_by};
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (options_.max_query_executions > 0 &&
         outcome.executions >= options_.max_query_executions) {
@@ -97,11 +123,10 @@ StatusOr<ValidationOutcome> Validator::RankedValidation(
         // stopped early. Counted as an execution so budgets and the
         // paper's execution metric are identical with pruning off.
         ++outcome.executions;
-        ++outcome.refuted_early;
         obs::Inc(metrics_.candidates_executed);
         obs::Inc(metrics_.validations_refuted_early);
         span.AddAttr("candidate", static_cast<int64_t>(i));
-        span.AddAttr("refuted_early", int64_t{1});
+        CountRefutation(refuted_by, &outcome, &span);
         continue;
       }
       if (result.status().IsCancelled()) {
@@ -159,38 +184,34 @@ StatusOr<ValidationOutcome> Validator::SmartValidation(
   // Executes candidates[idx]; kStop means the run should wind down
   // (budget exhausted mid-scan). Errors propagate via `failure`.
   Status failure = Status::OK();
-  // Phase 1 executions feed Qfm detection (EntityJaccard over the full
-  // result list), so they run UNPRUNED; phase 2 results only need the
-  // accept/reject verdict, so they carry the threshold monitor. The
-  // execution schedule — and with it executions, skip_events, passes,
-  // and the valid set — is therefore identical with pruning on or off.
+  // Every execution carries the threshold monitor. Phase 1 executions
+  // feed Qfm detection, so they run under the first-match goal: a
+  // refuted one is neither accepted nor Qfm. Phase 2 results only need
+  // the accept/reject verdict (the acceptance goal). The execution
+  // schedule — and with it executions, skip_events, passes, Qfm and
+  // the valid set — is therefore identical with pruning on or off.
   const std::unique_ptr<ThresholdMonitor> monitor =
       MakeMonitor(candidates, input);
-  const ExecContext unpruned_ctx{
-      .budget = budget,
-      .cache = cache_,
-      .pool = pool_,
-      .scan_threads = options_.scan_threads};
-  const ExecContext pruned_ctx{
-      .budget = budget,
-      .cache = cache_,
-      .pool = pool_,
-      .scan_threads = options_.scan_threads,
-      .threshold = monitor.get()};
+  RefutationRule refuted_by = RefutationRule::kNone;
+  ExecContext exec_ctx{.budget = budget,
+                       .cache = cache_,
+                       .pool = pool_,
+                       .scan_threads = options_.scan_threads,
+                       .threshold = monitor.get(),
+                       .refuted_by = &refuted_by};
   enum class Exec { kOk, kRefuted, kStop };
-  auto execute = [&](size_t idx, const ExecContext& exec_ctx,
-                     TopKList* result) {
+  auto execute = [&](size_t idx, ThresholdGoal goal, TopKList* result) {
     obs::ScopedSpan span(trace_.trace, "execute", trace_.parent);
     span.AddAttr("candidate", static_cast<int64_t>(idx));
+    exec_ctx.threshold_goal = goal;
     auto executed = executor_->Execute(base_, candidates[idx].query, exec_ctx);
     if (!executed.ok()) {
       if (executed.status().IsQueryRefuted()) {
         // Executed-and-rejected, just cheaper: counts as an execution.
         ++outcome.executions;
-        ++outcome.refuted_early;
         obs::Inc(metrics_.candidates_executed);
         obs::Inc(metrics_.validations_refuted_early);
-        span.AddAttr("refuted_early", int64_t{1});
+        CountRefutation(refuted_by, &outcome, &span);
         return Exec::kRefuted;
       }
       if (executed.status().IsCancelled()) {
@@ -221,9 +242,9 @@ StatusOr<ValidationOutcome> Validator::SmartValidation(
     for (; pos < queue.size() && budget_left() && governed_left(); ++pos) {
       const CandidateQuery& cq = candidates[queue[pos]];
       TopKList result;
-      const Exec e = execute(queue[pos], unpruned_ctx, &result);
+      const Exec e = execute(queue[pos], ThresholdGoal::kFirstMatch, &result);
       if (e == Exec::kStop) break;
-      if (e == Exec::kRefuted) continue;  // no list: cannot become Qfm
+      if (e == Exec::kRefuted) continue;  // below tau: cannot become Qfm
       if (Accepts(result, input)) {
         outcome.valid.push_back(ValidQuery{cq.query, outcome.executions});
         if (options_.stop_at_first_valid) return outcome;
@@ -255,7 +276,7 @@ StatusOr<ValidationOutcome> Validator::SmartValidation(
         }
       }
       TopKList result;
-      const Exec e = execute(queue[pos], pruned_ctx, &result);
+      const Exec e = execute(queue[pos], ThresholdGoal::kAccept, &result);
       if (e == Exec::kStop) break;
       if (e == Exec::kRefuted) continue;  // rejected without a full scan
       if (Accepts(result, input)) {
@@ -293,6 +314,7 @@ struct ExecResult {
   Status status = Status::OK();
   TopKList list;
   bool ran = false;
+  RefutationRule refuted_by = RefutationRule::kNone;
 };
 
 }  // namespace
@@ -325,25 +347,21 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
   // Scan morsels of the speculative executions share the validation
   // pool; WaitHelping keeps the nesting deadlock-free.
   //
-  // Pruning mirrors the sequential schedule: parallel-ranked tasks
-  // always prune; parallel-smart tasks prune only once Qfm is known at
-  // LAUNCH time (launches happen on this commit thread, so the qfm
-  // snapshot is race-free). A task launched before Qfm committed may
-  // run unpruned where the sequential phase 2 would have pruned it —
-  // both count one execution and reject, so the committed outcome is
-  // unchanged; only refuted_early / rows_saved side counters differ.
+  // Every task carries the threshold monitor. Its goal mirrors the
+  // sequential schedule as of LAUNCH time (launches happen on this
+  // commit thread, so the qfm snapshot is race-free): parallel-ranked
+  // tasks and smart tasks launched once Qfm is known run under the
+  // acceptance goal, earlier smart tasks under the first-match goal.
+  // A first-match refutation proves "not accepted" too, so a task that
+  // commits after Qfm is rejected exactly as the sequential phase 2
+  // would reject it; only the refuted_* side counters may differ.
   const std::unique_ptr<ThresholdMonitor> monitor =
       MakeMonitor(candidates, input);
   const ExecContext task_ctx{.budget = &task_budget,
                              .cache = cache_,
                              .pool = pool_,
-                             .scan_threads = options_.scan_threads};
-  const ExecContext pruned_task_ctx{
-      .budget = &task_budget,
-      .cache = cache_,
-      .pool = pool_,
-      .scan_threads = options_.scan_threads,
-      .threshold = monitor.get()};
+                             .scan_threads = options_.scan_threads,
+                             .threshold = monitor.get()};
 
   struct Slot {
     enum class State { kPending, kLaunched, kSkipped };
@@ -448,16 +466,18 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
           ++launch_pos;
           continue;
         }
-        // Qfm snapshot at launch (see the ctx comment above): smart
-        // candidates launched before Qfm run unpruned, like the
-        // sequential phase 1.
-        const ExecContext* ctx =
-            (!smart || qfm != nullptr) ? &pruned_task_ctx : &task_ctx;
+        // Qfm snapshot at launch (see the ctx comment above).
+        const ThresholdGoal goal = smart && qfm == nullptr
+                                       ? ThresholdGoal::kFirstMatch
+                                       : ThresholdGoal::kAccept;
         slots[launch_pos].future = pool_->Submit(
-            [this, cq, ctx]() -> ExecResult {
+            [this, cq, &task_ctx, goal]() -> ExecResult {
               ExecResult r;
               r.ran = true;
-              auto executed = executor_->Execute(base_, cq->query, *ctx);
+              ExecContext ctx = task_ctx;
+              ctx.threshold_goal = goal;
+              ctx.refuted_by = &r.refuted_by;
+              auto executed = executor_->Execute(base_, cq->query, ctx);
               if (!executed.ok()) {
                 r.status = executed.status();
               } else {
@@ -513,10 +533,9 @@ StatusOr<ValidationOutcome> Validator::ParallelValidation(
           // order here, so budgets and Qfm discovery see the same
           // schedule as with pruning off.
           ++outcome.executions;
-          ++outcome.refuted_early;
           obs::Inc(metrics_.candidates_executed);
           obs::Inc(metrics_.validations_refuted_early);
-          span.AddAttr("refuted_early", int64_t{1});
+          CountRefutation(result.refuted_by, &outcome, &span);
           ++commit_pos;
           continue;
         }

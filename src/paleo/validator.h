@@ -49,6 +49,7 @@
 namespace paleo {
 
 class AtomSelectionCache;
+class EntityIndex;
 class ThreadPool;
 class ThresholdMonitor;
 
@@ -82,6 +83,12 @@ struct ValidationOutcome {
   /// `executions` too: a refuted candidate is an executed-and-rejected
   /// candidate that happened to stop early).
   int64_t refuted_early = 0;
+  /// `refuted_early` split by the rule that refuted (RefutationRule):
+  /// the exact pre-pass over L's rows, the first-match goal of smart
+  /// validation's first phase, and the acceptance goal's bounds.
+  int64_t refuted_by_prepass = 0;
+  int64_t refuted_by_first_match = 0;
+  int64_t refuted_by_bounds = 0;
   bool found() const { return !valid.empty(); }
 };
 
@@ -102,17 +109,22 @@ class Validator {
   /// sequential or across pool workers — passes it to the executor so
   /// candidates sharing predicate atoms reuse each other's selection
   /// bitmaps instead of rescanning R.
+  /// `entity_index` (optional, not owned) must index `base`; the
+  /// threshold monitor reads L's rows from it instead of passing over
+  /// the entity column once per validation run.
   Validator(const Table& base, Executor* executor,
             const PaleoOptions& options, ThreadPool* pool = nullptr,
             PipelineMetrics metrics = {}, obs::TraceContext trace = {},
-            AtomSelectionCache* cache = nullptr)
+            AtomSelectionCache* cache = nullptr,
+            const EntityIndex* entity_index = nullptr)
       : base_(base),
         executor_(executor),
         options_(options),
         pool_(pool),
         metrics_(metrics),
         trace_(trace),
-        cache_(cache) {}
+        cache_(cache),
+        entity_index_(entity_index) {}
 
   /// Exact instance-equivalence or partial-match acceptance, per
   /// options.match_mode.
@@ -154,6 +166,8 @@ class Validator {
   /// unresolvable input). All candidates of one run share one sort
   /// order (BuildCandidateQueries stamps it), so one monitor serves
   /// every execution; the executor re-checks applicability per query.
+  /// Executions choose the monitor's goal: kFirstMatch while smart
+  /// validation still looks for Qfm, kAccept otherwise.
   std::unique_ptr<ThresholdMonitor> MakeMonitor(
       const std::vector<CandidateQuery>& candidates,
       const TopKList& input) const;
@@ -165,6 +179,7 @@ class Validator {
   PipelineMetrics metrics_;
   obs::TraceContext trace_;
   AtomSelectionCache* cache_ = nullptr;
+  const EntityIndex* entity_index_ = nullptr;
 };
 
 }  // namespace paleo

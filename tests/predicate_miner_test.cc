@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "datagen/traffic_gen.h"
 #include "paleo/predicate_miner.h"
+#include "tuple_set_reference.h"
 
 namespace paleo {
 namespace {

@@ -16,6 +16,7 @@
 #include "paleo/ranking_finder.h"
 #include "stats/catalog.h"
 #include "stats/distance.h"
+#include "tuple_set_reference.h"
 
 namespace paleo {
 namespace {

@@ -3,14 +3,18 @@
 // path (ExecContext::threshold) accepts and rejects EXACTLY the same
 // candidates as the unpruned full scan — across the scalar, vectorized,
 // and morsel-parallel paths — plus unit tests of the ThresholdMonitor's
-// deactivation rules, budget-interrupt precedence over refutation,
-// concurrent pruning over one shared atom cache, and full-pipeline
-// equivalence with pruning on and off.
+// deactivation rules, the pre-pass and the first-match goal on
+// hand-built tables, budget-interrupt precedence over refutation,
+// concurrent pruning over one shared atom cache, smart validation's
+// schedule with pruning on and off (sequential and parallel), and
+// full-pipeline equivalence with pruning on and off.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,7 +29,10 @@
 #include "engine/atom_cache.h"
 #include "engine/executor.h"
 #include "engine/threshold_monitor.h"
+#include "obs/trace.h"
+#include "paleo/explain.h"
 #include "paleo/paleo.h"
+#include "paleo/validator.h"
 #include "workload/workload.h"
 
 namespace paleo {
@@ -169,7 +176,14 @@ TEST(ThresholdMonitorTest, ResolvesTargetsAndScopesApplicability) {
   ThresholdMonitor m(t, input, SortOrder::kDesc, 1e-9);
   ASSERT_TRUE(m.active());
   EXPECT_EQ(m.k(), 3u);
-  EXPECT_DOUBLE_EQ(m.worst_value(), 1.5);
+  ASSERT_EQ(m.targets().size(), 3u);
+  EXPECT_DOUBLE_EQ(m.targets().back().value, 1.5);
+  for (const ThresholdMonitor::Target& target : m.targets()) {
+    EXPECT_TRUE(m.IsTarget(target.code));
+    for (RowId r : target.rows) {
+      EXPECT_EQ(t.entity_column().CodeAt(r), target.code);
+    }
+  }
   EXPECT_GT(m.slack(), 1e-9) << "slack must be wider than the eps";
 
   TopKQuery q;
@@ -221,6 +235,40 @@ void ExpectPrunedEquivalent(Executor& ex, const Table& t,
   EXPECT_EQ(accept_unpruned, accept_pruned) << "workload " << workload;
 }
 
+/// The first-match goal's contract on one execution path: a non-refuted
+/// run reproduces the unpruned result byte-identically; a refuted one
+/// leaves a full result that is not accepted and, when the goal's own
+/// rules refuted, has k rows and an entity Jaccard below tau. Returns
+/// true when the goal refuted.
+bool ExpectFirstMatchSound(Executor& ex, const Table& t,
+                           const TopKQuery& candidate, const TopKList& input,
+                           const ThresholdMonitor& monitor, double tau,
+                           const ExecContext& base_ctx, int workload) {
+  auto unpruned = ex.Execute(t, candidate, base_ctx);
+  EXPECT_TRUE(unpruned.ok()) << "workload " << workload;
+  if (!unpruned.ok()) return false;
+  RefutationRule rule = RefutationRule::kNone;
+  ExecContext ctx = base_ctx;
+  ctx.threshold = &monitor;
+  ctx.threshold_goal = ThresholdGoal::kFirstMatch;
+  ctx.refuted_by = &rule;
+  auto pruned = ex.Execute(t, candidate, ctx);
+  if (pruned.ok()) {
+    EXPECT_TRUE(*pruned == *unpruned) << "workload " << workload;
+    return false;
+  }
+  EXPECT_TRUE(pruned.status().IsQueryRefuted())
+      << "workload " << workload << ": " << pruned.status().ToString();
+  EXPECT_FALSE(unpruned->InstanceEquals(input))
+      << "workload " << workload << ": refuted an accepted candidate";
+  if (rule != RefutationRule::kFirstMatch) return false;
+  EXPECT_EQ(unpruned->size(), static_cast<size_t>(candidate.k))
+      << "workload " << workload;
+  EXPECT_LT(unpruned->EntityJaccard(input), tau)
+      << "workload " << workload << ": refuted a first match (UNSOUND)";
+  return true;
+}
+
 TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
   Rng rng(20260809);
   ThreadPool pool(4);
@@ -229,6 +277,8 @@ TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
   Executor vec;  // vectorized by default
   int workloads = 0;
   int refuted_somewhere = 0;
+  int first_match_refuted = 0;
+  const double kTaus[] = {0.2, 0.5, 0.8, 1.0};
   for (int ti = 0; ti < 70; ++ti) {
     const size_t sizes[] = {200, 500, 1000, 2048, 3000};
     Table t = RandomChunkedTable(rng, sizes[rng.Uniform(5)]);
@@ -239,6 +289,8 @@ TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
     ASSERT_TRUE(input.ok());
     if (input->empty()) continue;
     ThresholdMonitor monitor(t, *input, truth.order, 1e-9);
+    const double tau = kTaus[ti % 4];
+    ThresholdMonitor first_match(t, *input, truth.order, 1e-9, tau);
 
     const ExecContext scalar_ctx{};
     const ExecContext vec_ctx{};
@@ -253,6 +305,14 @@ TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
                              workloads);
       ExpectPrunedEquivalent(vec, t, cand, *input, monitor, par_ctx,
                              workloads);
+      ExpectFirstMatchSound(scalar, t, cand, *input, first_match, tau,
+                            scalar_ctx, workloads);
+      ExpectFirstMatchSound(vec, t, cand, *input, first_match, tau, par_ctx,
+                            workloads);
+      if (ExpectFirstMatchSound(vec, t, cand, *input, first_match, tau,
+                                vec_ctx, workloads)) {
+        ++first_match_refuted;
+      }
       ExecContext probe_ctx = vec_ctx;
       probe_ctx.threshold = &monitor;
       if (!vec.Execute(t, cand, probe_ctx).ok()) ++refuted_somewhere;
@@ -263,6 +323,7 @@ TEST(ThresholdValidationTest, DifferentialPrunedVsUnprunedAcceptSets) {
   // and the pruner actually fired (the suite is vacuous otherwise).
   EXPECT_GE(workloads, 500);
   EXPECT_GT(refuted_somewhere, 0) << "no workload ever refuted";
+  EXPECT_GT(first_match_refuted, 0) << "the first-match goal never refuted";
 }
 
 // ---- Budget interruption vs refutation ----------------------------------
@@ -391,6 +452,401 @@ TEST(ThresholdValidationTest, ConcurrentPruningOverSharedAtomCacheStaysSound) {
   EXPECT_GT(cache.stats().evictions, 0) << "the budget never forced eviction";
 }
 
+// ---- Pre-pass and first-match goal on hand-built tables -----------------
+
+/// One hand-placed row: entity, group, int measure, double measure.
+struct HandRow {
+  std::string e;
+  std::string g;
+  int64_t v = 0;
+  double w = 0.0;
+};
+
+/// A table of 64-row chunks: chunk i holds `chunks[i]`, padded with
+/// rows of group "pad", which no hand-built candidate selects.
+Table HandTable(const std::vector<std::vector<HandRow>>& chunks) {
+  auto schema = Schema::Make({
+      {"e", DataType::kString, FieldRole::kEntity},
+      {"g", DataType::kString, FieldRole::kDimension},
+      {"v", DataType::kInt64, FieldRole::kMeasure},
+      {"w", DataType::kDouble, FieldRole::kMeasure},
+  });
+  EXPECT_TRUE(schema.ok());
+  Table t(*schema, 64);
+  for (const std::vector<HandRow>& chunk : chunks) {
+    EXPECT_LE(chunk.size(), 64u);
+    for (size_t i = 0; i < 64; ++i) {
+      const HandRow row = i < chunk.size() ? chunk[i] : HandRow{"pad", "pad"};
+      EXPECT_TRUE(t.AppendRow({Value::String(row.e), Value::String(row.g),
+                               Value::Int64(row.v), Value::Double(row.w)})
+                      .ok());
+    }
+  }
+  EXPECT_EQ(t.num_chunks(), chunks.size());
+  return t;
+}
+
+/// agg(column) over the rows of group "x".
+TopKQuery HandQuery(AggFn agg, int column, SortOrder order, int k = 3) {
+  TopKQuery q;
+  q.predicate = Predicate({AtomicPredicate(1, Value::String("x"))});
+  q.expr = RankExpr::Column(column);
+  q.agg = agg;
+  q.order = order;
+  q.k = k;
+  return q;
+}
+
+/// Runs `q` once under a monitor with `tau` and `goal`, and once
+/// unmonitored. Returns the refuting rule (kNone: the monitored run
+/// produced the unmonitored result). A refutation must be sound: the
+/// full result is never accepted, and a first-match refutation leaves
+/// a k-row result whose Jaccard with `input` is below tau.
+RefutationRule RunGoal(const Table& t, const TopKQuery& q,
+                       const TopKList& input, double tau,
+                       ThresholdGoal goal) {
+  ThresholdMonitor monitor(t, input, q.order, 1e-9, tau);
+  EXPECT_TRUE(monitor.active());
+  Executor ex;
+  auto full = ex.Execute(t, q, ExecContext{});
+  EXPECT_TRUE(full.ok());
+  RefutationRule rule = RefutationRule::kNone;
+  auto run = ex.Execute(t, q,
+                        ExecContext{.threshold = &monitor,
+                                    .threshold_goal = goal,
+                                    .refuted_by = &rule});
+  if (run.ok()) {
+    EXPECT_TRUE(*run == *full);
+    EXPECT_EQ(rule, RefutationRule::kNone);
+    return RefutationRule::kNone;
+  }
+  EXPECT_TRUE(run.status().IsQueryRefuted()) << run.status().ToString();
+  EXPECT_NE(rule, RefutationRule::kNone);
+  EXPECT_FALSE(full->InstanceEquals(input)) << "refuted an accepted result";
+  if (rule == RefutationRule::kFirstMatch) {
+    EXPECT_EQ(full->size(), static_cast<size_t>(q.k));
+    EXPECT_LT(full->EntityJaccard(input), tau) << "refuted a first match";
+  }
+  return rule;
+}
+
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Six foreign groups far ahead in chunk 0, L's entities a1 > a2 > a3
+/// in chunk 1, padding in chunk 2.
+Table ForeignAheadTable(int64_t foreign_v) {
+  std::vector<HandRow> foreign;
+  for (int i = 1; i <= 6; ++i) {
+    foreign.push_back({"f" + std::to_string(i), "x", foreign_v, 1.0});
+  }
+  return HandTable({foreign,
+                    {{"a1", "x", 10, 10.0}, {"a2", "x", 9, 9.0},
+                     {"a3", "x", 8, 8.0}},
+                    {}});
+}
+
+TEST(ThresholdMonitorTest, FirstMatchCountFollowsEntityJaccard) {
+  const Table t = ForeignAheadTable(100);
+  const TopKList l = ListOf({{"a1", 10.0}, {"a2", 9.0}, {"a3", 8.0}});
+  auto count = [&](double tau) {
+    return ThresholdMonitor(t, l, SortOrder::kDesc, 1e-9, tau)
+        .first_match_count();
+  };
+  // c / (2k - c) for k = 3: 0, 0.2, 0.5, 1.
+  EXPECT_EQ(count(-1.0), 0);
+  EXPECT_EQ(count(0.0), 0);
+  EXPECT_EQ(count(0.2), 1);
+  EXPECT_EQ(count(0.5), 2);
+  EXPECT_EQ(count(0.51), 3);
+  EXPECT_EQ(count(1.0), 3);
+  EXPECT_EQ(count(1.5), -1);
+  EXPECT_EQ(count(kNaN), -1);
+  EXPECT_EQ(ThresholdMonitor(t, l, SortOrder::kDesc, 1e-9)
+                .first_match_count(),
+            -1);
+}
+
+TEST(ThresholdFirstMatchTest, TauSelectsTheRule) {
+  const Table t = ForeignAheadTable(100);
+  const TopKList l = ListOf({{"a1", 10.0}, {"a2", 9.0}, {"a3", 8.0}});
+  const TopKQuery q = HandQuery(AggFn::kMax, 2, SortOrder::kDesc);
+  // The result is f1, f2, f3: Jaccard 0.
+  EXPECT_EQ(RunGoal(t, q, l, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kFirstMatch);
+  EXPECT_EQ(RunGoal(t, q, l, 1.0, ThresholdGoal::kFirstMatch),
+            RefutationRule::kFirstMatch);
+  // tau <= 0: every result is a first match, so phase 1 refutes nothing.
+  EXPECT_EQ(RunGoal(t, q, l, 0.0, ThresholdGoal::kFirstMatch),
+            RefutationRule::kNone);
+  EXPECT_EQ(RunGoal(t, q, l, -1.0, ThresholdGoal::kFirstMatch),
+            RefutationRule::kNone);
+  // No c_tau: no result can be the first match, so phase 1 runs under
+  // the acceptance goal (L's values match, the bounds refute).
+  EXPECT_EQ(RunGoal(t, q, l, 1.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kBounds);
+  EXPECT_EQ(RunGoal(t, q, l, kNaN, ThresholdGoal::kFirstMatch),
+            RefutationRule::kBounds);
+  // The acceptance goal ignores tau.
+  EXPECT_EQ(RunGoal(t, q, l, 0.0, ThresholdGoal::kAccept),
+            RefutationRule::kBounds);
+  // A value L cannot show: the pre-pass refutes under the acceptance
+  // goal, before any chunk; the first-match goal still needs the scan.
+  const TopKList off = ListOf({{"a1", 11.0}, {"a2", 9.0}, {"a3", 8.0}});
+  EXPECT_EQ(RunGoal(t, q, off, 0.5, ThresholdGoal::kAccept),
+            RefutationRule::kPrePass);
+  EXPECT_EQ(RunGoal(t, q, off, 1.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kPrePass);
+  EXPECT_EQ(RunGoal(t, q, off, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kFirstMatch);
+}
+
+TEST(ThresholdFirstMatchTest, AscendingMin) {
+  const TopKList l = ListOf({{"a1", 1.0}, {"a2", 2.0}, {"a3", 3.0}});
+  const TopKQuery q = HandQuery(AggFn::kMin, 2, SortOrder::kAsc);
+  auto table = [](int64_t foreign_v) {
+    std::vector<HandRow> foreign;
+    for (int i = 1; i <= 6; ++i) {
+      foreign.push_back({"f" + std::to_string(i), "x", foreign_v, 0.0});
+    }
+    return HandTable({foreign,
+                      {{"a1", "x", 1}, {"a2", "x", 2}, {"a3", "x", 3},
+                       {"a2", "x", 7}},
+                      {}});
+  };
+  // Foreign minima below every L value: the result shares nothing.
+  const Table ahead = table(-5);
+  EXPECT_EQ(RunGoal(ahead, q, l, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kFirstMatch);
+  EXPECT_EQ(RunGoal(ahead, q, l, 0.5, ThresholdGoal::kAccept),
+            RefutationRule::kBounds);
+  // Foreign minima behind L: the result is L itself.
+  const Table behind = table(50);
+  Executor ex;
+  auto full = ex.Execute(behind, q, ExecContext{});
+  ASSERT_TRUE(full.ok());
+  EXPECT_TRUE(full->InstanceEquals(l));
+  EXPECT_EQ(RunGoal(behind, q, l, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kNone);
+  EXPECT_EQ(RunGoal(behind, q, l, 0.5, ThresholdGoal::kAccept),
+            RefutationRule::kNone);
+}
+
+TEST(ThresholdFirstMatchTest, NaNInListRowsNeverRefutes) {
+  const TopKList l = ListOf({{"a1", 10.0}, {"a2", 9.0}, {"a3", 8.0}});
+  std::vector<HandRow> foreign;
+  for (int i = 1; i <= 6; ++i) {
+    foreign.push_back({"f" + std::to_string(i), "x", 0, 100.0});
+  }
+  const std::vector<HandRow> list_rows = {{"a1", "x", 0, 10.0},
+                                          {"a2", "x", 0, 9.0},
+                                          {"a3", "x", 0, 8.0}};
+  std::vector<HandRow> with_nan = list_rows;
+  with_nan.push_back({"a1", "x", 0, kNaN});
+  const Table clean = HandTable({foreign, list_rows, {}});
+  const Table poisoned = HandTable({foreign, with_nan, {}});
+  for (AggFn agg : {AggFn::kMax, AggFn::kSum}) {
+    const TopKQuery q = HandQuery(agg, 3, SortOrder::kDesc);
+    // Without the NaN row the foreign groups refute...
+    EXPECT_EQ(RunGoal(clean, q, l, 0.5, ThresholdGoal::kFirstMatch),
+              RefutationRule::kFirstMatch);
+    // ...with it, executor order around L is undefined: no rule fires.
+    EXPECT_EQ(RunGoal(poisoned, q, l, 0.5, ThresholdGoal::kFirstMatch),
+              RefutationRule::kNone);
+    EXPECT_EQ(RunGoal(poisoned, q, l, 0.5, ThresholdGoal::kAccept),
+              RefutationRule::kNone);
+  }
+}
+
+TEST(ThresholdFirstMatchTest, IntegerMaxTieAtTheCut) {
+  // tau 0.5, k 3: c_tau = 2, so e* = a2 (value 9) and two foreign
+  // groups ahead of it refute.
+  const TopKList l = ListOf({{"a1", 10.0}, {"a2", 9.0}, {"a3", 8.0}});
+  const TopKQuery q = HandQuery(AggFn::kMax, 2, SortOrder::kDesc);
+  auto table = [](const std::string& f1, const std::string& f2) {
+    return HandTable({{{f1, "x", 9}, {f2, "x", 9}},
+                      {{"a1", "x", 10}, {"a2", "x", 9}, {"a3", "x", 8}},
+                      {}});
+  };
+  Executor ex;
+  // Both ties precede "a2" by name: they rank ahead of it, so the
+  // result a1, a0, a1z holds one L entity.
+  const Table both = table("a0", "a1z");
+  EXPECT_EQ(RunGoal(both, q, l, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kFirstMatch);
+  // Both follow "a2": the result a1, a2, b1 has Jaccard exactly tau.
+  const Table none = table("b1", "b2");
+  auto exact = ex.Execute(none, q, ExecContext{});
+  ASSERT_TRUE(exact.ok());
+  EXPECT_EQ(exact->EntityJaccard(l), 0.5);
+  EXPECT_EQ(RunGoal(none, q, l, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kNone);
+  // The acceptance goal cuts at a3 (8): any 9 is ahead of it.
+  EXPECT_EQ(RunGoal(none, q, l, 0.5, ThresholdGoal::kAccept),
+            RefutationRule::kBounds);
+  // One tie ahead, one behind: a1, a0, a2 is again a first match.
+  const Table one = table("a0", "b1");
+  EXPECT_EQ(RunGoal(one, q, l, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kNone);
+}
+
+TEST(ThresholdFirstMatchTest, ShortResultIsNeverRefuted) {
+  const TopKList l = ListOf({{"a1", 10.0}, {"a2", 9.0}, {"a3", 8.0}});
+  const TopKQuery q = HandQuery(AggFn::kMax, 2, SortOrder::kDesc);
+  Executor ex;
+  // Groups f1 and a1 only: a 2-row result (Jaccard 1/4) with one
+  // foreign group, short of the k - c' = 2 the touched rule needs.
+  const Table foreign_one =
+      HandTable({{{"f1", "x", 100}}, {{"a1", "x", 10}},
+                 {{"a2", "y", 9}, {"a3", "y", 8}}});
+  auto r1 = ex.Execute(foreign_one, q, ExecContext{});
+  ASSERT_TRUE(r1.ok());
+  EXPECT_EQ(r1->size(), 2u);
+  EXPECT_EQ(RunGoal(foreign_one, q, l, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kNone);
+  // Groups a1 and a2 only: a short result with Jaccard 2/3 — a first
+  // match.
+  const Table list_two =
+      HandTable({{{"a1", "x", 10}}, {{"a2", "x", 9}}, {{"a3", "y", 8}}});
+  auto r2 = ex.Execute(list_two, q, ExecContext{});
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(r2->size(), 2u);
+  EXPECT_GE(r2->EntityJaccard(l), 0.5);
+  EXPECT_EQ(RunGoal(list_two, q, l, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kNone);
+}
+
+TEST(ThresholdFirstMatchTest, JaccardExactlyTauIsNeverRefuted) {
+  // sum(v): a1 30, f1 25, a2 20, a3 5 — the result a1, f1, a2 shares
+  // two entities with L, Jaccard 2/4 = tau.
+  const TopKList l = ListOf({{"a1", 30.0}, {"a2", 20.0}, {"a3", 10.0}});
+  const TopKQuery q = HandQuery(AggFn::kSum, 2, SortOrder::kDesc);
+  const Table t = HandTable(
+      {{{"f1", "x", 20}, {"f1", "x", 5}},
+       {{"a1", "x", 30}, {"a2", "x", 12}, {"a2", "x", 8}, {"a3", "x", 5}},
+       {}});
+  Executor ex;
+  auto full = ex.Execute(t, q, ExecContext{});
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->EntityJaccard(l), 0.5);
+  EXPECT_EQ(RunGoal(t, q, l, 0.5, ThresholdGoal::kFirstMatch),
+            RefutationRule::kNone);
+  // a3 sums to 5, not 10: the acceptance goal's pre-pass refutes.
+  EXPECT_EQ(RunGoal(t, q, l, 0.5, ThresholdGoal::kAccept),
+            RefutationRule::kPrePass);
+}
+
+// ---- Smart validation schedule, pruning on vs off ------------------------
+
+/// One smart validation run and the candidate indices it executed, in
+/// commit order (sequential "execute" spans; parallel "commit" spans
+/// that executed rather than skipped).
+struct SmartRun {
+  ValidationOutcome outcome;
+  std::vector<int64_t> executed;
+  int64_t spans_refuted = 0;
+};
+
+SmartRun RunSmart(const Table& t, const std::vector<CandidateQuery>& cands,
+                  const TopKList& input, bool pruning, bool stop_first,
+                  ThreadPool* pool) {
+  PaleoOptions options;
+  options.validation_strategy = ValidationStrategy::kSmart;
+  options.threshold_pruning = pruning;
+  options.stop_at_first_valid = stop_first;
+  if (pool != nullptr) {
+    options.num_threads = 4;
+    options.scan_threads = 2;
+  }
+  Executor ex;
+  obs::Trace trace;
+  Validator validator(t, &ex, options, pool, {},
+                      obs::TraceContext{&trace, obs::Trace::kNoSpan});
+  auto outcome = validator.Validate(cands, input);
+  EXPECT_TRUE(outcome.ok());
+  SmartRun run;
+  run.outcome = *std::move(outcome);
+  for (const obs::Span& span : trace.spans()) {
+    int64_t candidate = -1;
+    bool executed = span.name == "execute";
+    for (const obs::SpanAttr& attr : span.attrs) {
+      if (attr.key == "candidate") candidate = attr.i;
+      if (attr.key == "accepted" || attr.key == "refuted_early") {
+        executed = true;
+      }
+      if (attr.key == "refuted_by") ++run.spans_refuted;
+    }
+    if (executed) run.executed.push_back(candidate);
+  }
+  return run;
+}
+
+TEST(ThresholdValidationTest, SmartScheduleIdenticalPruningOnOff) {
+  Rng rng(20261019);
+  ThreadPool pool(4);
+  int64_t first_match_refuted = 0;
+  int64_t prepass_refuted = 0;
+  int workloads = 0;
+  for (int ti = 0; ti < 60; ++ti) {
+    const size_t sizes[] = {500, 1000, 2048, 3000};
+    Table t = RandomChunkedTable(rng, sizes[rng.Uniform(4)]);
+    const TopKQuery truth = RandomQuery(rng);
+    Executor ex;
+    auto input = ex.Execute(t, truth, ExecContext{});
+    ASSERT_TRUE(input.ok());
+    if (input->empty()) continue;
+    // Perturbed candidates around the truth, which sits at a random
+    // position or is absent.
+    const size_t n = static_cast<size_t>(rng.UniformInt(6, 14));
+    const size_t truth_pos = rng.Uniform(n + 3);
+    std::vector<CandidateQuery> cands(n);
+    for (size_t i = 0; i < n; ++i) {
+      cands[i].query = i == truth_pos ? truth : PerturbQuery(rng, truth);
+    }
+    const bool stop_first = rng.Uniform(2) == 0;
+    const SmartRun off = RunSmart(t, cands, *input, false, stop_first,
+                                  nullptr);
+    EXPECT_EQ(off.outcome.refuted_early, 0);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (bool pruning : {false, true}) {
+        const SmartRun run = RunSmart(t, cands, *input, pruning, stop_first,
+                                      p);
+        const ValidationOutcome& o = run.outcome;
+        const std::string where = "workload " + std::to_string(workloads) +
+                                  (p != nullptr ? " parallel" : "") +
+                                  (pruning ? " pruned" : "");
+        ASSERT_EQ(o.valid.size(), off.outcome.valid.size()) << where;
+        for (size_t i = 0; i < o.valid.size(); ++i) {
+          EXPECT_EQ(o.valid[i].query.Hash(),
+                    off.outcome.valid[i].query.Hash())
+              << where;
+          EXPECT_EQ(o.valid[i].executions_at_discovery,
+                    off.outcome.valid[i].executions_at_discovery)
+              << where;
+        }
+        EXPECT_EQ(o.executions, off.outcome.executions) << where;
+        EXPECT_EQ(o.skip_events, off.outcome.skip_events) << where;
+        EXPECT_EQ(o.passes, off.outcome.passes) << where;
+        // The executed sequence pins Qfm: the first execution whose
+        // result reaches tau decides every later skip.
+        EXPECT_EQ(run.executed, off.executed) << where;
+        EXPECT_EQ(o.refuted_by_prepass + o.refuted_by_first_match +
+                      o.refuted_by_bounds,
+                  o.refuted_early)
+            << where;
+        EXPECT_EQ(run.spans_refuted, o.refuted_early) << where;
+        if (pruning && p == nullptr) {
+          first_match_refuted += o.refuted_by_first_match;
+          prepass_refuted += o.refuted_by_prepass;
+        }
+      }
+    }
+    ++workloads;
+  }
+  EXPECT_GE(workloads, 50);
+  EXPECT_GT(first_match_refuted, 0) << "phase 1 never refuted";
+  EXPECT_GT(prepass_refuted, 0) << "the pre-pass never refuted";
+}
+
 // ---- Full-pipeline equivalence ------------------------------------------
 
 TEST(ThresholdValidationTest, PipelineValidSetIdenticalPruningOnOff) {
@@ -445,6 +901,17 @@ TEST(ThresholdValidationTest, PipelineValidSetIdenticalPruningOnOff) {
     EXPECT_EQ(off.executions_aborted_early, 0) << wq.name;
     EXPECT_EQ(off.rows_saved, 0) << wq.name;
     EXPECT_GE(on.rows_saved, 0) << wq.name;
+    EXPECT_EQ(on.refuted_by_prepass + on.refuted_by_first_match +
+                  on.refuted_by_bounds,
+              on.executions_aborted_early)
+        << wq.name;
+    if (on.executions_aborted_early > 0) {
+      const std::string text = ExplainReport(on, table->schema());
+      EXPECT_NE(text.find("refuted by pre-pass:"), std::string::npos);
+      EXPECT_NE(text.find("refuted by first-match goal:"), std::string::npos);
+      EXPECT_NE(text.find("refuted by acceptance bounds:"),
+                std::string::npos);
+    }
     total_refuted += on.executions_aborted_early;
 
     // Lattice-aware ordering permutes suitability TIES only; the full

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "paleo/tuple_set.h"
+#include "tuple_set_reference.h"
 
 namespace paleo {
 namespace {
