@@ -50,6 +50,19 @@ enum class RefutationRule : uint8_t {
   kBounds,
 };
 
+/// How an Execute call read the table.
+enum class ExecAccess : uint8_t {
+  /// The chunk scan (every execution the rank prefix did not answer).
+  kScan,
+  /// A walk over a rank prefix (storage/rank_prefix.h) that answered.
+  kPrefix,
+};
+
+/// "scan" or "prefix".
+inline const char* ExecAccessName(ExecAccess access) {
+  return access == ExecAccess::kPrefix ? "prefix" : "scan";
+}
+
 /// \brief Per-call execution parameters for Executor scans.
 struct ExecContext {
   /// Cooperative budget polled every few thousand rows; nullptr (or an
@@ -101,6 +114,11 @@ struct ExecContext {
   /// returns Status::QueryRefuted, untouched otherwise. Per call, so a
   /// context that carries it is not shared across concurrent calls.
   RefutationRule* refuted_by = nullptr;
+
+  /// Optional out-parameter: set by every Execute call that gets past
+  /// query validation to how it read the table. Per call, like
+  /// `refuted_by`.
+  ExecAccess* access = nullptr;
 };
 
 }  // namespace paleo

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "engine/selection_kernels.h"
 #include "engine/threshold_monitor.h"
 #include "index/dimension_index.h"
+#include "storage/rank_prefix.h"
 #include "storage/table_view.h"
 
 namespace paleo {
@@ -65,6 +67,66 @@ constexpr uint32_t kScalarGateStride = 4096;
 /// batch; stride 2 polls the clock every other batch, i.e. at the same
 /// ~4096-row cadence as the scalar path.
 constexpr uint32_t kVectorGateStride = 2;
+
+/// Rank-prefix rows a walk reads between budget polls (a full walk of
+/// RankPrefixes::kRows rows polls 16 times).
+constexpr uint32_t kWalkGateStride = 256;
+
+/// True when `query`'s answer is the first k matching rows
+/// (no aggregation) or the first k distinct entities (MAX DESC, MIN
+/// ASC: an entity's first row in rank order carries its aggregate) in
+/// its one column's rank order.
+bool PrefixWalkable(const TopKQuery& query) {
+  if (!query.expr.is_single_column()) return false;
+  const bool desc = query.order == SortOrder::kDesc;
+  return query.agg == AggFn::kNone || (query.agg == AggFn::kMax && desc) ||
+         (query.agg == AggFn::kMin && !desc);
+}
+
+enum class WalkOutcome { kAnswered, kFallBack, kInterrupted };
+
+/// Sorted access: reads `prefix` (the rank prefix of `query`'s column
+/// and direction) in order, keeping matching rows — for MAX/MIN only an
+/// entity's first — until k are in `out`. Falls back when the prefix
+/// runs out first, or when a MAX/MIN walk reaches the infinity on the
+/// losing side: a group whose matching rows are all NaN scores exactly
+/// that, with no row in the prefix. `probed` counts the rows read.
+WalkOutcome WalkRankPrefix(const Table& table, const std::vector<RowId>& prefix,
+                           const TopKQuery& query, const BoundPredicate& bound,
+                           BudgetGate* gate, size_t* probed, TopKList* out) {
+  const Column& values = table.column(query.expr.column_a());
+  const Column& entities = table.entity_column();
+  const StringDictionary& dict = *entities.dict();
+  const bool grouped = query.agg != AggFn::kNone;
+  const double unseen = query.order == SortOrder::kDesc
+                            ? -std::numeric_limits<double>::infinity()
+                            : std::numeric_limits<double>::infinity();
+  const size_t k = static_cast<size_t>(query.k);
+  std::vector<uint32_t> seen;  // entities already in `out` (grouped)
+  for (RowId r : prefix) {
+    if (*probed > 0 && *probed % kWalkGateStride == 0) {
+      // Chaos hook: an armed delay here stalls the walk right before a
+      // budget poll (tests use it to interrupt a walk midway); the walk
+      // cannot fail, so error actions only count as injected.
+      (void)PALEO_FAULT_POINT("executor.prefix.walk");
+    }
+    if (gate->Tick() != TerminationReason::kCompleted) {
+      return WalkOutcome::kInterrupted;
+    }
+    ++*probed;
+    const double v = values.NumericAt(r);
+    if (grouped && v == unseen) return WalkOutcome::kFallBack;
+    if (!bound.Matches(r)) continue;
+    const uint32_t code = entities.CodeAt(r);
+    if (grouped) {
+      if (std::find(seen.begin(), seen.end(), code) != seen.end()) continue;
+      seen.push_back(code);
+    }
+    out->Append(dict.Get(code), v);
+    if (out->size() == k) return WalkOutcome::kAnswered;
+  }
+  return WalkOutcome::kFallBack;
+}
 
 /// What a chunk scan produces per chunk.
 enum class ScanMode { kRows, kGroups, kCount };
@@ -473,6 +535,7 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
   // relaxed: Stats counters are pure tallies (see Stats doc).
   stats_.queries_executed.fetch_add(1, std::memory_order_relaxed);
   obs::Inc(metrics_.queries_executed);
+  if (ctx.access != nullptr) *ctx.access = ExecAccess::kScan;
 
   BoundPredicate bound(query.predicate, table);
   const Column& entities = table.entity_column();
@@ -519,11 +582,13 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
                              TerminationReasonToString(reason) + ")");
   };
 
-  // Orders a before b when a ranks better; ties by entity name
-  // ascending, then by group id for full determinism.
+  // Orders a before b when a ranks better (CompareScores: NaN after
+  // every number); ties by entity name ascending, then by group id for
+  // full determinism.
   auto better = [&](double sa, const std::string& na, uint32_t ga, double sb,
                     const std::string& nb, uint32_t gb) {
-    if (sa != sb) return desc ? sa > sb : sa < sb;
+    const int c = CompareScores(sa, sb, desc);
+    if (c != 0) return c < 0;
     if (na != nb) return na < nb;
     return ga < gb;
   };
@@ -573,6 +638,26 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
     if (!completed) return interrupted(gate.reason());
   } else {
     TableView view(table);
+    if (PrefixWalkable(query)) {
+      const std::shared_ptr<const std::vector<RowId>> prefix =
+          table.RankPrefix(query.expr.column_a(), desc);
+      BudgetGate gate(ctx.budget, kWalkGateStride);
+      size_t probed = 0;
+      TopKList walked;
+      const WalkOutcome walk = WalkRankPrefix(table, *prefix, query, bound,
+                                              &gate, &probed, &walked);
+      account_rows(probed);
+      if (walk == WalkOutcome::kInterrupted) return interrupted(gate.reason());
+      if (walk == WalkOutcome::kAnswered) {
+        // relaxed: Stats counters are pure tallies (see Stats doc).
+        stats_.prefix_walks.fetch_add(1, std::memory_order_relaxed);
+        obs::Inc(metrics_.prefix_walks);
+        if (ctx.access != nullptr) *ctx.access = ExecAccess::kPrefix;
+        return walked;
+      }
+      // relaxed: Stats counters are pure tallies (see Stats doc).
+      stats_.prefix_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    }
     const size_t num_chunks = view.num_chunks();
     const ScanMode mode =
         query.agg == AggFn::kNone ? ScanMode::kRows : ScanMode::kGroups;

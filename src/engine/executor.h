@@ -5,6 +5,13 @@
 // issues candidate queries here, exactly as the paper issues them to
 // PostgreSQL.
 //
+// Sorted access comes first: a full-table query whose answer is the
+// first k matching rows (ORDER BY A LIMIT k) or the first k distinct
+// entities (max(A) DESC, min(A) ASC) in one column's rank order walks
+// that column's rank prefix (storage/rank_prefix.h) and stops at k. A
+// walk that runs out of prefix, or that reaches the infinity an all-NaN
+// group would score, falls through to the scan below (DESIGN.md §18).
+//
 // Full-table scans are CHUNK-CANONICAL: the table's fixed-size chunks
 // (storage/table_view.h) are the scan granules. Per chunk, predicate
 // atoms first consult the chunk's zone maps — a refuted chunk is
@@ -111,6 +118,12 @@ class Executor {
     /// relaxed: independent event counter, accumulated once per aborted
     /// execution after the morsel join; no cross-counter ordering.
     std::atomic<int64_t> rows_saved{0};
+    /// Executions answered by a rank-prefix walk (no chunk scanned; the
+    /// walked rows count in rows_scanned, no morsels) / walks that ran
+    /// out of prefix and fell back to the chunk scan.
+    /// relaxed: independent event counters (same contract as above).
+    std::atomic<int64_t> prefix_walks{0};
+    std::atomic<int64_t> prefix_fallbacks{0};
   };
 
   /// Optional registry-backed instruments mirrored alongside Stats, so
@@ -129,6 +142,9 @@ class Executor {
     /// One observation per full scan: the number of morsel workers the
     /// scan ran with (1 for sequential).
     obs::Histogram* scan_parallelism = nullptr;
+    /// Executions answered by a rank-prefix walk (paired with
+    /// Stats::prefix_walks; backs paleo_prefix_walks_total).
+    obs::Counter* prefix_walks = nullptr;
   };
 
   Executor() = default;
@@ -201,6 +217,8 @@ class Executor {
     stats_.morsels.store(0, std::memory_order_relaxed);
     stats_.executions_aborted_early.store(0, std::memory_order_relaxed);
     stats_.rows_saved.store(0, std::memory_order_relaxed);
+    stats_.prefix_walks.store(0, std::memory_order_relaxed);
+    stats_.prefix_fallbacks.store(0, std::memory_order_relaxed);
   }
 
  private:

@@ -214,31 +214,35 @@ ThresholdState::ThresholdState(const ThresholdMonitor* monitor,
       dict_(table.entity_column().dict().get()),
       agg_(query.agg),
       desc_(query.order == SortOrder::kDesc) {
-  const size_t num_chunks = view.num_chunks();
-  chunk_lo_.resize(num_chunks);
-  chunk_hi_.resize(num_chunks);
-  chunk_rows_.resize(num_chunks);
   MutexLock lock(mutex_);
-  chunk_done_.assign(num_chunks, false);
-  for (size_t i = 0; i < num_chunks; ++i) {
-    const Chunk& ch = view.chunk(i);
-    ExprBounds(query.expr, table, ch, &chunk_lo_[i], &chunk_hi_[i]);
-    chunk_rows_[i] = ch.num_rows();
-    rem_rows_ += chunk_rows_[i];
-    const double n = static_cast<double>(chunk_rows_[i]);
-    rem_pos_ += n * std::max(0.0, chunk_hi_[i]);
-    rem_neg_ += n * std::min(0.0, chunk_lo_[i]);
-    rem_his_.insert(chunk_hi_[i]);
-    rem_los_.insert(chunk_lo_[i]);
-  }
-  InitGoalLocked(table, query, bound, goal);
+  InitGoalLocked(table, view, query, bound, goal);
   if (armed_) {
     scratch_ = monitor->AcquireScratch(dict_->size());
     foreign_stat_ = desc_ ? -kInf : kInf;
   }
 }
 
+void ThresholdState::InitChunkBoundsLocked(const Table& table,
+                                           const TableView& view,
+                                           const RankExpr& expr) {
+  const size_t num_chunks = view.num_chunks();
+  chunk_lo_.resize(num_chunks);
+  chunk_hi_.resize(num_chunks);
+  chunk_rows_.resize(num_chunks);
+  chunk_done_.assign(num_chunks, false);
+  for (size_t i = 0; i < num_chunks; ++i) {
+    const Chunk& ch = view.chunk(i);
+    ExprBounds(expr, table, ch, &chunk_lo_[i], &chunk_hi_[i]);
+    chunk_rows_[i] = ch.num_rows();
+    rem_rows_ += chunk_rows_[i];
+    const double n = static_cast<double>(chunk_rows_[i]);
+    rem_pos_ += n * std::max(0.0, chunk_hi_[i]);
+    rem_neg_ += n * std::min(0.0, chunk_lo_[i]);
+  }
+}
+
 void ThresholdState::InitGoalLocked(const Table& table,
+                                    const TableView& view,
                                     const TopKQuery& query,
                                     const BoundPredicate& bound,
                                     ThresholdGoal goal) {
@@ -328,16 +332,29 @@ void ThresholdState::InitGoalLocked(const Table& table,
 
   const bool exact_side = desc_ ? (agg_ == AggFn::kMax || agg_ == AggFn::kCount)
                                 : agg_ == AggFn::kMin;
+  if (exact_side) {
+    mode_ = CutMode::kExact;
+    armed_ = true;
+    return;
+  }
+  const bool tracker_side = need_ahead_ == 1 && agg_ != AggFn::kAvg;
+  if (agg_ != AggFn::kSum && !tracker_side) {
+    return;  // no foreign bound usable for this goal
+  }
+  // Only SUM's sign test and the tracker read the chunks' zone bounds.
+  InitChunkBoundsLocked(table, view, query.expr);
   // SUM's beat-side bound is the running sum exactly when no remaining
   // chunk can pull it the other way.
   const bool sum_side = agg_ == AggFn::kSum &&
                         (desc_ ? rem_neg_ == 0.0 : rem_pos_ == 0.0);
-  if (exact_side) {
-    mode_ = CutMode::kExact;
-  } else if (sum_side) {
+  if (sum_side) {
     mode_ = CutMode::kSum;
-  } else if (need_ahead_ == 1 && agg_ != AggFn::kAvg) {
+  } else if (tracker_side) {
     mode_ = CutMode::kTracker;
+    for (size_t i = 0; i < chunk_hi_.size(); ++i) {
+      rem_his_.insert(chunk_hi_[i]);
+      rem_los_.insert(chunk_lo_[i]);
+    }
   } else {
     return;  // no foreign bound usable for this goal
   }
@@ -365,7 +382,8 @@ void ThresholdState::RefuteLocked(RefutationRule rule) {
 }
 
 void ThresholdState::RetireChunkLocked(size_t chunk_index) {
-  if (chunk_done_[chunk_index]) return;
+  // Only the tracker's bounds move as chunks retire.
+  if (mode_ != CutMode::kTracker || chunk_done_[chunk_index]) return;
   chunk_done_[chunk_index] = true;
   rem_rows_ -= chunk_rows_[chunk_index];
   const double n = static_cast<double>(chunk_rows_[chunk_index]);

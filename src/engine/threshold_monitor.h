@@ -220,8 +220,10 @@ class ThresholdMonitor {
 class ThresholdState {
  public:
   /// Runs the exact pre-pass over L's rows (`bound` is the candidate's
-  /// predicate bound to `table`; the pre-pass alone may refute) and
-  /// precomputes per-chunk expression bounds from `view`'s zone maps.
+  /// predicate bound to `table`; the pre-pass alone may refute). Only
+  /// when it settles nothing and the shape needs them are per-chunk
+  /// expression bounds read from `view`'s zone maps (SUM's sign test,
+  /// the tracker's multisets).
   ThresholdState(const ThresholdMonitor* monitor, const Table& table,
                  const TableView& view, const TopKQuery& query,
                  const BoundPredicate& bound, ThresholdGoal goal);
@@ -270,13 +272,19 @@ class ThresholdState {
   };
 
   /// The pre-pass and goal setup; called once from the ctor.
-  void InitGoalLocked(const Table& table, const TopKQuery& query,
-                      const BoundPredicate& bound, ThresholdGoal goal)
-      REQUIRES(mutex_);
+  void InitGoalLocked(const Table& table, const TableView& view,
+                      const TopKQuery& query, const BoundPredicate& bound,
+                      ThresholdGoal goal) REQUIRES(mutex_);
+  /// Per-chunk expression bounds and the remaining potentials, for the
+  /// modes that read them (SUM's sign test, kTracker); called once,
+  /// after the pre-pass has not refuted.
+  void InitChunkBoundsLocked(const Table& table, const TableView& view,
+                             const RankExpr& expr) REQUIRES(mutex_);
   void RefuteLocked(RefutationRule rule) REQUIRES(mutex_);
   /// Removes chunk `chunk_index` from the remaining-potential
-  /// accounting. Idempotence guard: each chunk is noted at most once
-  /// (the scan claims each chunk exactly once).
+  /// accounting (kTracker only: no other mode reads it after the ctor).
+  /// Idempotence guard: each chunk is noted at most once (the scan
+  /// claims each chunk exactly once).
   void RetireChunkLocked(size_t chunk_index) REQUIRES(mutex_);
   /// [lb, ub] on group `s`'s final value given the current remaining
   /// potentials (the header formulas).
@@ -315,7 +323,8 @@ class ThresholdState {
   size_t need_touched_ = 0;
 
   /// Per-chunk per-row expression bounds and row counts (index =
-  /// chunk). Infinite bounds for unsummarizable (empty) zones.
+  /// chunk; empty unless InitChunkBoundsLocked ran). Infinite bounds
+  /// for unsummarizable (empty) zones.
   std::vector<double> chunk_lo_;
   std::vector<double> chunk_hi_;
   std::vector<size_t> chunk_rows_;
@@ -330,7 +339,7 @@ class ThresholdState {
   double rem_pos_ GUARDED_BY(mutex_) = 0.0;
   double rem_neg_ GUARDED_BY(mutex_) = 0.0;
   /// Multisets of per-chunk hi / lo over unretired chunks, for O(log n)
-  /// max/min maintenance under chunk retirement (MAX/MIN/AVG bounds).
+  /// max/min maintenance under chunk retirement (kTracker only).
   std::multiset<double> rem_his_ GUARDED_BY(mutex_);
   std::multiset<double> rem_los_ GUARDED_BY(mutex_);
   /// Dense running aggregates of the foreign groups + their touched-

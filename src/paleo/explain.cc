@@ -92,6 +92,12 @@ std::string ExplainReport(const ReverseEngineerReport& report,
                 WithThousands(report.refuted_by_bounds));
   }
 
+  if (report.prefix_walks > 0 || report.prefix_fallbacks > 0) {
+    out += Line("answered from rank prefixes:",
+                WithThousands(report.prefix_walks) + ", fell back: " +
+                    WithThousands(report.prefix_fallbacks));
+  }
+
   if (report.termination != TerminationReason::kCompleted) {
     out += Line("stopped early:",
                 TerminationReasonToString(report.termination));

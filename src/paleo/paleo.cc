@@ -89,7 +89,7 @@ StatusOr<ReverseEngineerReport> Paleo::Run(const RunRequest& request) const {
                           metrics.executor_index_assisted,
                           metrics.chunks_skipped, metrics.morsels,
                           metrics.rows_saved_by_threshold,
-                          metrics.scan_parallelism});
+                          metrics.scan_parallelism, metrics.prefix_walks});
   }
 
   std::shared_ptr<obs::Trace> trace;
@@ -129,6 +129,10 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
       executor->stats().scalar_fallbacks.load(std::memory_order_relaxed);
   const int64_t rows_saved_before =
       executor->stats().rows_saved.load(std::memory_order_relaxed);
+  const int64_t prefix_walks_before =
+      executor->stats().prefix_walks.load(std::memory_order_relaxed);
+  const int64_t prefix_fallbacks_before =
+      executor->stats().prefix_fallbacks.load(std::memory_order_relaxed);
 
   obs::ScopedSpan run_span(trace, "run");
   run_span.AddAttr("k", static_cast<int64_t>(input.size()));
@@ -365,6 +369,12 @@ StatusOr<ReverseEngineerReport> Paleo::RunImpl(
   report.rows_saved =
       executor->stats().rows_saved.load(std::memory_order_relaxed) -
       rows_saved_before;
+  report.prefix_walks =
+      executor->stats().prefix_walks.load(std::memory_order_relaxed) -
+      prefix_walks_before;
+  report.prefix_fallbacks =
+      executor->stats().prefix_fallbacks.load(std::memory_order_relaxed) -
+      prefix_fallbacks_before;
   if (atom_cache != nullptr) {
     report.degraded_events += atom_cache->stats().pressure_events;
   }

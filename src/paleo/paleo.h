@@ -104,6 +104,12 @@ struct ReverseEngineerReport {
   int64_t refuted_by_prepass = 0;
   int64_t refuted_by_first_match = 0;
   int64_t refuted_by_bounds = 0;
+  /// Executions answered by a rank-prefix walk (sorted access, no chunk
+  /// scanned) and walks that ran out of prefix and fell back to the
+  /// scan (Executor::Stats::prefix_walks / prefix_fallbacks over the
+  /// run).
+  int64_t prefix_walks = 0;
+  int64_t prefix_fallbacks = 0;
 
   /// R' shape.
   int64_t rprime_rows = 0;

@@ -74,6 +74,10 @@ PipelineMetrics PipelineMetrics::Bind(obs::MetricsRegistry* registry) {
   m.rows_saved_by_threshold = registry->FindOrCreateCounter(
       "paleo_rows_saved_by_threshold_total",
       "Rows never scanned thanks to threshold-refuted executions.");
+  m.prefix_walks = registry->FindOrCreateCounter(
+      "paleo_prefix_walks_total",
+      "Executions answered by a walk over a rank prefix, without a "
+      "chunk scan.");
   m.degraded_runs = registry->FindOrCreateCounter(
       "paleo_degraded_runs_total",
       "Runs that degraded gracefully (scalar fallback or atom-cache "

@@ -36,6 +36,8 @@
 //                                         threshold refutation
 //   paleo_rows_saved_by_threshold_total   rows never scanned thanks to
 //                                         threshold refutation
+//   paleo_prefix_walks_total              executions answered by a
+//                                         rank-prefix walk (no scan)
 //   paleo_degraded_runs_total             runs that degraded gracefully
 //                                         (scalar fallback / cache shrink)
 //
@@ -80,6 +82,7 @@ struct PipelineMetrics {
   obs::Counter* conjunction_cache_misses = nullptr;
   obs::Counter* validations_refuted_early = nullptr;
   obs::Counter* rows_saved_by_threshold = nullptr;
+  obs::Counter* prefix_walks = nullptr;
   obs::Counter* degraded_runs = nullptr;
 
   /// Resolves every handle against `registry`; a null registry returns

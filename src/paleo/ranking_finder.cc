@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "stats/distance.h"
+#include "storage/rank_prefix.h"
 
 namespace paleo {
 
@@ -286,10 +287,12 @@ StatusOr<std::vector<GroupRanking>> RankingFinder::Find(
     std::vector<std::pair<double, RowId>> scored;
     scored.reserve(rows.size());
     for (RowId r : rows) scored.emplace_back(expr.Eval(slice, r), r);
+    // The executor's row order: CompareScores (NaN after every
+    // number), then entity name, then row id.
     std::sort(scored.begin(), scored.end(), [&](const auto& a,
                                                 const auto& b) {
-      if (a.first != b.first)
-        return ascending ? a.first < b.first : a.first > b.first;
+      const int c = CompareScores(a.first, b.first, !ascending);
+      if (c != 0) return c < 0;
       const std::string& na = rprime_.entity_names()[row_entity[a.second]];
       const std::string& nb = rprime_.entity_names()[row_entity[b.second]];
       if (na != nb) return na < nb;

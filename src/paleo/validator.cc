@@ -91,12 +91,14 @@ StatusOr<ValidationOutcome> Validator::RankedValidation(
   const std::unique_ptr<ThresholdMonitor> monitor =
       MakeMonitor(candidates, input);
   RefutationRule refuted_by = RefutationRule::kNone;
+  ExecAccess access = ExecAccess::kScan;
   const ExecContext exec_ctx{.budget = budget,
                              .cache = cache_,
                              .pool = pool_,
                              .scan_threads = options_.scan_threads,
                              .threshold = monitor.get(),
-                             .refuted_by = &refuted_by};
+                             .refuted_by = &refuted_by,
+                             .access = &access};
   for (size_t i = 0; i < candidates.size(); ++i) {
     if (options_.max_query_executions > 0 &&
         outcome.executions >= options_.max_query_executions) {
@@ -116,6 +118,7 @@ StatusOr<ValidationOutcome> Validator::RankedValidation(
     }
     obs::ScopedSpan span(trace_.trace, "execute", trace_.parent);
     auto result = executor_->Execute(base_, candidates[i].query, exec_ctx);
+    span.AddAttr("access", std::string_view(ExecAccessName(access)));
     if (!result.ok()) {
       if (result.status().IsQueryRefuted()) {
         // The threshold monitor proved mid-scan that this candidate
@@ -193,18 +196,21 @@ StatusOr<ValidationOutcome> Validator::SmartValidation(
   const std::unique_ptr<ThresholdMonitor> monitor =
       MakeMonitor(candidates, input);
   RefutationRule refuted_by = RefutationRule::kNone;
+  ExecAccess access = ExecAccess::kScan;
   ExecContext exec_ctx{.budget = budget,
                        .cache = cache_,
                        .pool = pool_,
                        .scan_threads = options_.scan_threads,
                        .threshold = monitor.get(),
-                       .refuted_by = &refuted_by};
+                       .refuted_by = &refuted_by,
+                       .access = &access};
   enum class Exec { kOk, kRefuted, kStop };
   auto execute = [&](size_t idx, ThresholdGoal goal, TopKList* result) {
     obs::ScopedSpan span(trace_.trace, "execute", trace_.parent);
     span.AddAttr("candidate", static_cast<int64_t>(idx));
     exec_ctx.threshold_goal = goal;
     auto executed = executor_->Execute(base_, candidates[idx].query, exec_ctx);
+    span.AddAttr("access", std::string_view(ExecAccessName(access)));
     if (!executed.ok()) {
       if (executed.status().IsQueryRefuted()) {
         // Executed-and-rejected, just cheaper: counts as an execution.

@@ -96,6 +96,7 @@ Status Table::AppendRows(std::span<const std::vector<Value>> rows) {
       }
     }
   }
+  const RowId first_new = static_cast<RowId>(num_rows_);
   for (const std::vector<Value>& row : rows) {
     for (int i = 0; i < schema_.num_fields(); ++i) {
       PALEO_RETURN_NOT_OK(columns_[static_cast<size_t>(i)].Append(
@@ -109,7 +110,17 @@ Status Table::AppendRows(std::span<const std::vector<Value>> rows) {
   }
   // One epoch bump per batch: the whole point of the batched entry
   // point (AppendRow via the single-row span bumps once as before).
-  if (!rows.empty()) epoch_ = NextEpoch();
+  if (!rows.empty()) {
+    epoch_ = NextEpoch();
+    // Merge the batch into the built slots. The set is never written
+    // through: a plain copy of this table may share it.
+    if (prefixes_->HasBuilt()) {
+      prefixes_ = prefixes_->Extended(columns_, schema_.entity_index(),
+                                      first_new);
+    } else if (prefixes_.use_count() > 1) {
+      prefixes_ = std::make_shared<RankPrefixes>();
+    }
+  }
   return Status::OK();
 }
 
@@ -122,6 +133,7 @@ Table Table::DeepCopy() const {
   }
   out.num_rows_ = num_rows_;
   out.chunks_ = chunks_;
+  out.prefixes_ = prefixes_->Copy();
   // Identical contents: keep the epoch so epoch-keyed caches stay warm
   // across the copy; the first mutation re-stamps it.
   out.epoch_ = epoch_;
@@ -148,6 +160,7 @@ Status Table::CheckConsistent() {
   // rebuild zone maps so they reflect whatever was written.
   RebuildChunks();
   epoch_ = NextEpoch();
+  prefixes_ = std::make_shared<RankPrefixes>();
   return Status::OK();
 }
 
@@ -163,6 +176,14 @@ Table Table::Gather(const std::vector<RowId>& rows) const {
   return out;
 }
 
+std::shared_ptr<const std::vector<RowId>> Table::RankPrefix(
+    int col, bool descending) const {
+  if (col < 0 || col >= num_columns() || !IsNumeric(schema_.field(col).type)) {
+    return nullptr;
+  }
+  return prefixes_->Get(col, descending, column(col), entity_column());
+}
+
 size_t Table::MemoryUsage() const {
   size_t bytes = 0;
   for (const Column& c : columns_) {
@@ -172,7 +193,7 @@ size_t Table::MemoryUsage() const {
   for (const Chunk& c : chunks_) {
     bytes += sizeof(Chunk) + c.zones.size() * sizeof(ZoneMap);
   }
-  return bytes;
+  return bytes + prefixes_->MemoryUsage();
 }
 
 std::string Table::ToString(size_t max_rows) const {

@@ -11,6 +11,7 @@
 
 #include "common/status.h"
 #include "storage/column.h"
+#include "storage/rank_prefix.h"
 #include "storage/zone_map.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -32,11 +33,19 @@ namespace paleo {
 /// the next one as it crosses a boundary); CheckConsistent rebuilds
 /// them after direct column writes; DeepCopy preserves them.
 ///
+/// Numeric columns also carry lazily built rank prefixes
+/// (storage/rank_prefix.h): the first rows of the column in ranked-
+/// result order, for sorted access by first-k queries. AppendRows
+/// merges the appended rows into the slots already built, DeepCopy
+/// carries them over, CheckConsistent drops them; SetChunkRows keeps
+/// them (the rank order does not depend on the chunk layout).
+///
 /// Thread contract: appends are single-threaded; once loading is done
 /// the table is read-only in every PALEO path, and all read accessors
-/// are const with no hidden mutable state, so one table (and the
-/// dictionaries it shares with Gather()ed slices) may be read
-/// concurrently by any number of threads.
+/// are const, so one table (and the dictionaries it shares with
+/// Gather()ed slices) may be read concurrently by any number of
+/// threads. The one piece of hidden mutable state, the lazy rank-prefix
+/// build, is internally synchronized.
 class Table {
  public:
   /// Default chunk size: 64Ki rows. Large enough that per-chunk
@@ -130,6 +139,13 @@ class Table {
   /// epoch bump — when the clamped value equals the current layout.
   void SetChunkRows(size_t chunk_rows);
 
+  /// Sorted access: the first RankPrefixes::kRows non-NaN rows of
+  /// numeric column `col` in ranked-result order (storage/rank_prefix.h),
+  /// built on the first call for (`col`, `descending`) and shared by
+  /// later ones. Null for a non-numeric or out-of-range column.
+  std::shared_ptr<const std::vector<RowId>> RankPrefix(int col,
+                                                       bool descending) const;
+
   /// Approximate heap footprint in bytes, including dictionaries.
   size_t MemoryUsage() const;
 
@@ -160,6 +176,10 @@ class Table {
   uint64_t epoch_ = 0;
   size_t chunk_rows_ = kDefaultChunkRows;
   std::vector<Chunk> chunks_;
+  /// Null only in a moved-from table. Plain copies share the set (same
+  /// contents); every mutation replaces this table's pointer instead of
+  /// writing through it, so a copy is never affected.
+  std::shared_ptr<RankPrefixes> prefixes_ = std::make_shared<RankPrefixes>();
 };
 
 }  // namespace paleo

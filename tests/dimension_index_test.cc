@@ -267,8 +267,11 @@ TEST(ExecutorIndexTest, IndexOnlyUsedForMatchingTable) {
   q.predicate = Predicate::Atom(1, Value::String("CA"));
   q.expr = RankExpr::Column(3);
   q.agg = AggFn::kMax;
+  // k exceeds the 3 matching entities, so the rank-prefix walk falls
+  // back to the chunk scan, which is what reads the postings.
   q.k = 10;
   ASSERT_TRUE(ex.Execute(a, q, ExecContext{}).ok());
+  EXPECT_EQ(ex.stats().prefix_fallbacks, 1);
   EXPECT_EQ(ex.stats().index_assisted, 1);
   EXPECT_EQ(ex.stats().posting_bitmaps, 1);
   // Executing against a different table must not consult the postings.
@@ -499,7 +502,8 @@ TEST(ExecutorIndexTest, IngestedRowsReachPostingsOfTheNewSnapshot) {
   TopKQuery q;
   q.predicate = Predicate({{1, Value::String("CA")}, {2, Value::Int64(2020)}});
   q.expr = RankExpr::Column(3);
-  q.agg = AggFn::kMax;
+  // SUM: the rank-prefix walk would answer MAX DESC without postings.
+  q.agg = AggFn::kSum;
   q.k = 5;
   // One cache across both versions: epochs keep their bitmaps apart.
   AtomSelectionCache cache(static_cast<size_t>(1) << 20);
@@ -532,7 +536,7 @@ TEST(ExecutorIndexTest, IngestedRowsReachPostingsOfTheNewSnapshot) {
   EXPECT_TRUE(BitIdentical(*fed, *scanned));
   ASSERT_GE(fed->size(), 2u);
   EXPECT_EQ(fed->entries()[0].entity, "new1");
-  EXPECT_EQ(fed->entries()[0].value, 1005.0);
+  EXPECT_EQ(fed->entries()[0].value, 1001.0 + 1003.0 + 1005.0);
   EXPECT_EQ(fed->entries()[1].entity, "new0");
   EXPECT_GT(new_ex.stats().posting_bitmaps, 0);
   EXPECT_EQ(new_ex.CountMatching(after->table(), q.predicate, ctx),

@@ -17,13 +17,13 @@ struct TpchFixture {
   Table table;
   WorkloadQuery query;
 
-  static TpchFixture Make() {
+  static TpchFixture Make(QueryFamily family = QueryFamily::kMaxA) {
     TpchGenOptions gen;
     gen.scale_factor = 0.002;
     auto table = TpchGen::Generate(gen);
     EXPECT_TRUE(table.ok());
     WorkloadOptions wl;
-    wl.families = {QueryFamily::kMaxA};
+    wl.families = {family};
     wl.predicate_sizes = {2};
     wl.ks = {10};
     wl.queries_per_config = 1;
@@ -35,7 +35,9 @@ struct TpchFixture {
 };
 
 TEST(OptionsBehaviorTest, DimensionIndexDoesNotChangeResults) {
-  TpchFixture f = TpchFixture::Make();
+  // sum(A): its candidates are shapes the rank-prefix walk does not
+  // take, so every execution runs the chunk scan this test compares.
+  TpchFixture f = TpchFixture::Make(QueryFamily::kSumA);
   PaleoOptions with_index;
   with_index.use_dimension_index = true;
   PaleoOptions without_index;

@@ -16,6 +16,7 @@
 #include "paleo/ranking_finder.h"
 #include "stats/catalog.h"
 #include "stats/distance.h"
+#include "storage/rank_prefix.h"
 #include "tuple_set_reference.h"
 
 namespace paleo {
@@ -349,10 +350,11 @@ struct Reference {
     cand->agg = AggFn::kNone;
     std::vector<std::pair<double, RowId>> scored;
     for (RowId r : rows) scored.emplace_back(expr.Eval(slice, r), r);
+    // The executor's row order: NaN ranks after every number.
     std::sort(scored.begin(), scored.end(), [&](const auto& a,
                                                 const auto& b) {
-      if (a.first != b.first)
-        return ascending ? a.first < b.first : a.first > b.first;
+      const int c = CompareScores(a.first, b.first, !ascending);
+      if (c != 0) return c < 0;
       const std::string& na = Name(row_entity[a.second]);
       const std::string& nb = Name(row_entity[b.second]);
       if (na != nb) return na < nb;

@@ -33,6 +33,7 @@
 #include "paleo/explain.h"
 #include "paleo/paleo.h"
 #include "paleo/validator.h"
+#include "storage/rank_prefix.h"
 #include "workload/workload.h"
 
 namespace paleo {
@@ -486,6 +487,21 @@ Table HandTable(const std::vector<std::vector<HandRow>>& chunks) {
   return t;
 }
 
+/// `chunks` followed by RankPrefixes::kRows pad rows ranking ahead of
+/// every value under `order` and never matching HandQuery's predicate:
+/// the rank prefixes of `order` hold only pads, so a MAX DESC or MIN ASC
+/// execution provably falls back from the walk to the monitored scan.
+std::vector<std::vector<HandRow>> WithPaddedPrefixes(
+    SortOrder order, std::vector<std::vector<HandRow>> chunks) {
+  const int sign = order == SortOrder::kDesc ? 1 : -1;
+  const std::vector<HandRow> pads(
+      64, HandRow{"pad", "pad", sign * (int64_t{1} << 40), sign * 1e12});
+  for (size_t i = 0; i < RankPrefixes::kRows / 64; ++i) {
+    chunks.push_back(pads);
+  }
+  return chunks;
+}
+
 /// agg(column) over the rows of group "x".
 TopKQuery HandQuery(AggFn agg, int column, SortOrder order, int k = 3) {
   TopKQuery q;
@@ -515,6 +531,8 @@ RefutationRule RunGoal(const Table& t, const TopKQuery& q,
                         ExecContext{.threshold = &monitor,
                                     .threshold_goal = goal,
                                     .refuted_by = &rule});
+  // Every execution here reaches the monitored scan.
+  EXPECT_EQ(ex.stats().prefix_walks.load(), 0);
   if (run.ok()) {
     EXPECT_TRUE(*run == *full);
     EXPECT_EQ(rule, RefutationRule::kNone);
@@ -539,10 +557,11 @@ Table ForeignAheadTable(int64_t foreign_v) {
   for (int i = 1; i <= 6; ++i) {
     foreign.push_back({"f" + std::to_string(i), "x", foreign_v, 1.0});
   }
-  return HandTable({foreign,
-                    {{"a1", "x", 10, 10.0}, {"a2", "x", 9, 9.0},
-                     {"a3", "x", 8, 8.0}},
-                    {}});
+  return HandTable(WithPaddedPrefixes(
+      SortOrder::kDesc,
+      {foreign,
+       {{"a1", "x", 10, 10.0}, {"a2", "x", 9, 9.0}, {"a3", "x", 8, 8.0}},
+       {}}));
 }
 
 TEST(ThresholdMonitorTest, FirstMatchCountFollowsEntityJaccard) {
@@ -608,10 +627,11 @@ TEST(ThresholdFirstMatchTest, AscendingMin) {
     for (int i = 1; i <= 6; ++i) {
       foreign.push_back({"f" + std::to_string(i), "x", foreign_v, 0.0});
     }
-    return HandTable({foreign,
-                      {{"a1", "x", 1}, {"a2", "x", 2}, {"a3", "x", 3},
-                       {"a2", "x", 7}},
-                      {}});
+    return HandTable(WithPaddedPrefixes(
+        SortOrder::kAsc,
+        {foreign,
+         {{"a1", "x", 1}, {"a2", "x", 2}, {"a3", "x", 3}, {"a2", "x", 7}},
+         {}}));
   };
   // Foreign minima below every L value: the result shares nothing.
   const Table ahead = table(-5);
@@ -642,8 +662,10 @@ TEST(ThresholdFirstMatchTest, NaNInListRowsNeverRefutes) {
                                           {"a3", "x", 0, 8.0}};
   std::vector<HandRow> with_nan = list_rows;
   with_nan.push_back({"a1", "x", 0, kNaN});
-  const Table clean = HandTable({foreign, list_rows, {}});
-  const Table poisoned = HandTable({foreign, with_nan, {}});
+  const Table clean =
+      HandTable(WithPaddedPrefixes(SortOrder::kDesc, {foreign, list_rows, {}}));
+  const Table poisoned =
+      HandTable(WithPaddedPrefixes(SortOrder::kDesc, {foreign, with_nan, {}}));
   for (AggFn agg : {AggFn::kMax, AggFn::kSum}) {
     const TopKQuery q = HandQuery(agg, 3, SortOrder::kDesc);
     // Without the NaN row the foreign groups refute...
@@ -663,9 +685,11 @@ TEST(ThresholdFirstMatchTest, IntegerMaxTieAtTheCut) {
   const TopKList l = ListOf({{"a1", 10.0}, {"a2", 9.0}, {"a3", 8.0}});
   const TopKQuery q = HandQuery(AggFn::kMax, 2, SortOrder::kDesc);
   auto table = [](const std::string& f1, const std::string& f2) {
-    return HandTable({{{f1, "x", 9}, {f2, "x", 9}},
-                      {{"a1", "x", 10}, {"a2", "x", 9}, {"a3", "x", 8}},
-                      {}});
+    return HandTable(WithPaddedPrefixes(
+        SortOrder::kDesc,
+        {{{f1, "x", 9}, {f2, "x", 9}},
+         {{"a1", "x", 10}, {"a2", "x", 9}, {"a3", "x", 8}},
+         {}}));
   };
   Executor ex;
   // Both ties precede "a2" by name: they rank ahead of it, so the
