@@ -542,16 +542,6 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
   const StringDictionary& dict = *entities.dict();
   const bool desc = query.order == SortOrder::kDesc;
 
-  // Index-assisted: a full scan all of whose atom bitmaps can come from
-  // postings.
-  const DimensionIndex* index = rows == nullptr ? IndexFor(table) : nullptr;
-  if (index != nullptr && !query.predicate.IsTrue() &&
-      index->Covers(query.predicate)) {
-    // relaxed: Stats counters are pure tallies (see Stats doc).
-    stats_.index_assisted.fetch_add(1, std::memory_order_relaxed);
-    obs::Inc(metrics_.index_assisted);
-  }
-
   // Full scans take the vectorized chunk path: per-atom per-chunk
   // selection bitmaps (cache-shared across candidates), word-wise AND,
   // and bitmap-driven consumption. Row-restricted executions (R' tuple
@@ -657,6 +647,15 @@ StatusOr<TopKList> Executor::ExecuteImpl(const Table& table,
       }
       // relaxed: Stats counters are pure tallies (see Stats doc).
       stats_.prefix_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Index-assisted: a chunk scan all of whose atom bitmaps can come
+    // from postings.
+    const DimensionIndex* index = IndexFor(table);
+    if (index != nullptr && !query.predicate.IsTrue() &&
+        index->Covers(query.predicate)) {
+      // relaxed: Stats counters are pure tallies (see Stats doc).
+      stats_.index_assisted.fetch_add(1, std::memory_order_relaxed);
+      obs::Inc(metrics_.index_assisted);
     }
     const size_t num_chunks = view.num_chunks();
     const ScanMode mode =

@@ -89,8 +89,9 @@ class Executor {
   struct Stats {
     std::atomic<int64_t> queries_executed{0};
     std::atomic<int64_t> rows_scanned{0};
-    /// Full-scan executions whose conjunction the attached dimension
-    /// index covers.
+    /// Executions that reached the chunk scan (a rank-prefix walk did
+    /// not answer them) with a conjunction the attached dimension index
+    /// covers.
     std::atomic<int64_t> index_assisted{0};
     /// Atom-chunk bitmaps built from postings on an atom-cache miss.
     std::atomic<int64_t> posting_bitmaps{0};

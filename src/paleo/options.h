@@ -116,15 +116,15 @@ struct PaleoOptions {
   int64_t max_validation_executions = 0;
 
   /// Fan candidate-query executions of the validation step out across
-  /// a ThreadPool (RunRequest::pool, or the Validator's pool):
-  /// up to this many executions run concurrently, results commit in
-  /// suitability-rank order, and the first validated query cancels
-  /// outstanding lower-rank siblings. <= 1, or a missing pool, keeps
-  /// the sequential paths. The set of valid queries (and with
-  /// stop_at_first_valid the single reported query) is identical to a
-  /// sequential run — speculation beyond the commit point is discarded
-  /// exactly where the sequential smart scheduler would have skipped
-  /// or stopped — but wall-clock-dependent side counts
+  /// a ThreadPool (RunRequest::pool, or the Validator's pool): the
+  /// validator's pooled mode runs up to this many executions ahead
+  /// while results still commit in suitability-rank order, and the
+  /// first validated query cancels outstanding lower-rank siblings.
+  /// <= 1, or a missing pool, keeps the validator inline: each
+  /// candidate executes on the calling thread at its commit turn.
+  /// Both modes share one scheduler (paleo/validator.h), so the
+  /// outcome — valid set, executions, skips, passes, termination — is
+  /// identical; only wall-clock-dependent side counts
   /// (speculative_executions, timings) differ.
   int num_threads = 1;
 

@@ -85,9 +85,9 @@ struct ReverseEngineerReport {
   int64_t candidate_queries = 0;
 
   /// Validation effort. executed_queries counts committed executions
-  /// and is identical under sequential and parallel validation;
-  /// speculative_executions counts parallel-only discarded look-ahead
-  /// work (always 0 sequentially).
+  /// and is identical in the validator's inline and pooled modes;
+  /// speculative_executions counts pooled-only discarded look-ahead
+  /// work (always 0 inline).
   int64_t executed_queries = 0;
   int64_t speculative_executions = 0;
   int64_t skip_events = 0;
@@ -145,7 +145,8 @@ struct ReverseEngineerReport {
   /// so the report stays copyable). Root span "run" with children
   /// "find_predicates" / "find_ranking" / "validate" (and "deepen"
   /// when the progressive-deepening pass ran); per-candidate
-  /// "execute" / "commit" spans hang under the validation spans.
+  /// "execute" (inline) / "commit" (pooled) spans hang under the
+  /// validation spans.
   std::shared_ptr<obs::Trace> trace;
 };
 

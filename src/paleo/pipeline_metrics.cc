@@ -47,7 +47,8 @@ PipelineMetrics PipelineMetrics::Bind(obs::MetricsRegistry* registry) {
       "Rows visited by the executor's scan and group-by loops.");
   m.executor_index_assisted = registry->FindOrCreateCounter(
       "paleo_executor_index_assisted_total",
-      "Executions whose conjunction the dimension index covers.");
+      "Chunk-scan executions whose conjunction the dimension index "
+      "covers.");
   m.chunks_skipped = registry->FindOrCreateCounter(
       "paleo_chunks_skipped_total",
       "Chunks skipped by zone-map refutation (no row can match).");

@@ -24,7 +24,7 @@
 //   paleo_near_misses_total               unvalidated best guesses surfaced
 //   paleo_executor_queries_total          candidate-query executions
 //   paleo_executor_rows_scanned_total     rows visited by the executor
-//   paleo_executor_index_assisted_total   executions covered by postings
+//   paleo_executor_index_assisted_total   chunk scans covered by postings
 //   paleo_chunks_skipped_total            chunks refuted by zone maps
 //   paleo_morsels_total                   chunk morsels actually scanned
 //   paleo_scan_parallelism                morsel workers per full scan

@@ -1,8 +1,9 @@
 // Candidate query validation against the base relation (Sections 3.2
 // and 7).
 //
-// RankedValidation executes candidates in suitability order until a
-// valid query appears. SmartValidation is the paper's Algorithm 3: it
+// Two strategies (options.validation_strategy). Ranked validation
+// executes candidates in suitability order until a valid query
+// appears. Smart validation is the paper's Algorithm 3: it
 // additionally learns from the first execution whose entity overlap
 // with L crosses the Jaccard threshold ("first match query" Qfm) and
 // skips candidates that share no predicate atoms with Qfm — and, once
@@ -10,26 +11,34 @@
 // a different criterion. Skipped candidates are retried in later
 // passes, so no valid query is ever lost.
 //
-// Both strategies are resource-governed: with a RunBudget they poll
-// the deadline/cancellation before every execution (and the executor
-// polls mid-scan), count executions against the budget's cap, and on
-// exhaustion wind down gracefully — the outcome keeps every query
-// validated so far, records the termination reason, and lists the
-// candidates that never got executed so the caller can surface them
-// as near misses.
+// One scheduler runs both: a rank-order-commit loop that decides
+// every candidate — budget, skip rule, acceptance, Qfm — at its commit
+// turn, strictly in suitability order. It has two modes:
 //
-// With a ThreadPool and options.num_threads > 1, candidate executions
-// fan out across the pool: up to num_threads run concurrently while
-// results COMMIT strictly in suitability-rank order, which keeps the
-// paper's semantics bit-for-bit — Qfm is still the first committed
-// result crossing the Jaccard threshold, skip decisions replay the
-// sequential smart schedule (a speculative execution the sequential
-// scheduler would have skipped is discarded and retried next pass),
-// and the first validated query cancels outstanding lower-rank
-// siblings through a CancellationToken wired into their executions.
-// The valid set, execution count, skip events, and pass count are
-// identical to the sequential run; only wall clock and the
+//  * Inline (no pool, options.num_threads <= 1, or fewer than two
+//    candidates): each candidate executes on the calling thread at its
+//    commit turn, under the request's own RunBudget. Traced as one
+//    "execute" span per executed candidate.
+//  * Pooled (a ThreadPool and options.num_threads > 1): up to
+//    max(2, num_threads) candidates execute ahead on the pool while
+//    results still commit in rank order. A look-ahead execution the
+//    commit turn skips is discarded (speculative_executions) and
+//    retried next pass; the first validated query, an exhausted
+//    budget or a hard error cancels the outstanding siblings through a
+//    CancellationToken wired into their executions. Traced as one
+//    "commit" span per committed candidate.
+//
+// The outcome — valid set, executions, skip events, passes,
+// termination, unvalidated candidates and the refutation split — is
+// the same in both modes; only wall clock and the
 // speculative_executions side counter differ.
+//
+// With a RunBudget the loop polls the deadline/cancellation before
+// every commit (and the executor polls mid-scan), counts executions
+// against the budget's cap, and on exhaustion winds down gracefully —
+// the outcome keeps every query validated so far, records the
+// termination reason, and lists the candidates that never got
+// executed so the caller can surface them as near misses.
 
 #ifndef PALEO_PALEO_VALIDATOR_H_
 #define PALEO_PALEO_VALIDATOR_H_
@@ -66,7 +75,8 @@ struct ValidationOutcome {
   int64_t executions = 0;
   /// Candidates skipped at least once by the smart strategy.
   int64_t skip_events = 0;
-  /// Passes over the candidate list (smart strategy; 1 for ranked).
+  /// Passes over the candidate list (smart strategy; 1 for ranked, even
+  /// over an empty list).
   int passes = 0;
   /// kCompleted when every candidate was considered; otherwise the
   /// RunBudget ran out and `unvalidated` lists the indices (into the
@@ -74,10 +84,9 @@ struct ValidationOutcome {
   /// never executed.
   TerminationReason termination = TerminationReason::kCompleted;
   std::vector<size_t> unvalidated;
-  /// Parallel validation only: executions whose results were discarded
-  /// because the rank-order commit decided the sequential scheduler
-  /// would have skipped (or never reached) them. Not counted in
-  /// `executions`.
+  /// Pooled mode only: look-ahead executions whose results were
+  /// discarded because the commit turn skipped (or never reached) them.
+  /// Not counted in `executions`.
   int64_t speculative_executions = 0;
   /// Executions the threshold monitor aborted mid-scan (counted in
   /// `executions` too: a refuted candidate is an executed-and-rejected
@@ -95,18 +104,17 @@ struct ValidationOutcome {
 /// \brief Executes candidate queries against R and accepts matches.
 class Validator {
  public:
-  /// `pool` (optional, not owned) enables parallel validation when
-  /// options.num_threads > 1; nullptr keeps every path sequential.
+  /// `pool` (optional, not owned) enables pooled mode when
+  /// options.num_threads > 1; nullptr keeps every run inline.
   ///
   /// `metrics` (nullable handles) and `trace` (null trace = off) report
-  /// per-candidate outcomes. Sequential validation records one
-  /// "execute" span per execution; parallel validation records one
-  /// "commit" span per committed candidate, from the single-threaded
-  /// commit loop only (a Trace is not thread-safe, so pool workers
-  /// never touch it).
+  /// per-candidate outcomes: one "execute" span per inline execution,
+  /// one "commit" span per pooled commit, both recorded from the commit
+  /// loop only (a Trace is not thread-safe, so pool workers never touch
+  /// it).
   /// `cache` (optional, not owned, internally synchronized) is the
   /// run's shared AtomSelectionCache: every candidate execution —
-  /// sequential or across pool workers — passes it to the executor so
+  /// inline or across pool workers — passes it to the executor so
   /// candidates sharing predicate atoms reuse each other's selection
   /// bitmaps instead of rescanning R.
   /// `entity_index` (optional, not owned) must index `base`; the
@@ -130,35 +138,16 @@ class Validator {
   /// options.match_mode.
   bool Accepts(const TopKList& result, const TopKList& input) const;
 
-  /// Sequential execution in the given (suitability) order.
-  /// `prior_executions` is the pipeline-wide execution count before
-  /// this call, charged against the budget's execution cap.
-  StatusOr<ValidationOutcome> RankedValidation(
-      const std::vector<CandidateQuery>& candidates, const TopKList& input,
-      const RunBudget* budget = nullptr,
-      int64_t prior_executions = 0) const;
-
-  /// Algorithm 3.
-  StatusOr<ValidationOutcome> SmartValidation(
-      const std::vector<CandidateQuery>& candidates, const TopKList& input,
-      const RunBudget* budget = nullptr,
-      int64_t prior_executions = 0) const;
-
-  /// Dispatches on options.validation_strategy, and onto the parallel
-  /// rank-order-commit implementation when a pool is attached and
-  /// options.num_threads > 1.
+  /// Validates `candidates` (in suitability order) against `input`
+  /// with options.validation_strategy, inline or pooled (see the file
+  /// comment). `prior_executions` is the pipeline-wide execution count
+  /// before this call, charged against the budget's execution cap.
   StatusOr<ValidationOutcome> Validate(
       const std::vector<CandidateQuery>& candidates, const TopKList& input,
       const RunBudget* budget = nullptr,
       int64_t prior_executions = 0) const;
 
  private:
-  /// Windowed parallel validation; `smart` replays Algorithm 3's skip
-  /// schedule, false gives parallel ranked validation.
-  StatusOr<ValidationOutcome> ParallelValidation(
-      const std::vector<CandidateQuery>& candidates, const TopKList& input,
-      bool smart, const RunBudget* budget, int64_t prior_executions) const;
-
   /// The run's ThresholdMonitor (engine/threshold_monitor.h), or
   /// nullptr when pruning is off, the match mode is not exact (a
   /// refuted scan has no result list to partial-score), there are no
